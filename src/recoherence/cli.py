@@ -377,8 +377,23 @@ def _warn_relativistic(traj: Trajectory) -> None:
 
 
 def _mode_from(values: dict) -> ModeSpec:
+    """Mode of frequency omega-bar-T in the volume (2*pi/omega)^3 / lambda3-over-V.
+
+    Raises RangeError when that volume leaves double precision (overflows
+    or underflows to 0), so sweeps keep the point as a range_error row.
+    """
     omega = values["omega-bar-T"]  # T = 1 internally
-    volume = (2.0 * math.pi / omega) ** 3 / values["lambda3-over-V"]
+    ratio = values["lambda3-over-V"]
+    try:
+        volume = (2.0 * math.pi / omega) ** 3 / ratio
+    except OverflowError:
+        volume = math.inf
+    if not (math.isfinite(volume) and volume > 0.0):
+        raise RangeError(
+            f"omega-bar-T={omega!r} with lambda3-over-V={ratio!r} gives a mode "
+            f"volume (2*pi/omega-bar-T)^3/lambda3-over-V = {volume!r} outside "
+            "double precision"
+        )
     return ModeSpec(omega=omega, volume=volume)
 
 

@@ -148,9 +148,7 @@ def band_coherence_shift_exact(
 
         def integrand(omega: np.ndarray) -> np.ndarray:
             s = j2_over_x(omega * T) * omega * T
-            g = np.array(
-                [phase_weight(r, p) for p in 2.0 * omega * t0 - theta]
-            )
+            g = phase_weight(r, 2.0 * omega * t0 - theta)
             return g * T * T * s * s / omega
 
         oscillations = 2.0 * band.half_width * (T + abs(t0)) / math.pi
@@ -232,7 +230,7 @@ def mode_sum_oracle(
     inv_volume = band.solid_angle / (2.0 * math.pi) ** 3 * omegas**2 * cell
     s = j2_over_x(omegas * T)
     envelope = 256.0 * R * R * s * s  # single-mode envelope M(omega)
-    g = np.array([phase_weight(r, p) for p in 2.0 * omegas * t0 - theta])
+    g = phase_weight(r, 2.0 * omegas * t0 - theta)
     # sum of single-mode shifts -(2 e^2 / (V omega)) g M, fixed index order
     contributions = -2.0 * E_SQUARED * inv_volume / omegas * g * envelope
     return float(np.sum(contributions))

@@ -2,6 +2,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from recoherence import (
     BandSpec,
     ConvergenceError,
@@ -210,3 +212,26 @@ def test_relativistic_warning_on_stderr():
     proc = run_cli("single-mode", "--ratio-RT", "0.7", "--t0-grid", "1")
     assert proc.returncode == 0
     assert "exceeds 1" in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("edge", ["1e-300", "1e300"])
+def test_sweep_edge_frequency_is_a_range_error_row(capsys, edge):
+    # the mode volume (2 pi/omega)^3 overflows at 1e-300 and underflows to
+    # 0 at 1e300; the point stays in the table and the sweep goes on
+    assert cli.main(["sweep", "--vary", "omega-bar-T=1"]) == 0
+    plain = capsys.readouterr().out.split("\n")
+    assert cli.main(["sweep", "--vary", f"omega-bar-T={edge},1"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert len(lines) == 4 and lines[0] == plain[0] and lines[3] == ""
+    cells = lines[1].split(",")
+    assert float(cells[2]) == float(edge) and cells[-1] == "range_error"
+    assert all(math.isnan(float(cell)) for cell in cells[6:-1])
+    assert lines[2] == plain[1]
+
+
+@pytest.mark.parametrize("edge", ["1e-300", "1e300"])
+def test_single_mode_edge_frequency_exits_one(capsys, edge):
+    assert cli.main(["single-mode", "--omega-bar-T", edge]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recoherence: error: omega-bar-T=")

@@ -1,0 +1,131 @@
+import math
+import subprocess
+import sys
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recoherence import SQUEEZE_CAP, locate_envelope_max
+from recoherence._special import (
+    j2_over_x,
+    j2_prime_numerator,
+    phase_weight,
+    phase_weight_max,
+)
+
+mpmath.mp.dps = 50
+
+
+def _j2(x):
+    """50-digit spherical j2 from the cylinder function J_{5/2}."""
+    x = mpmath.mpf(x)
+    return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(mpmath.mpf(5) / 2, x)
+
+
+def _scale(x):
+    """Size of j2(x)/x away from its zeros: x/15 near 0, 1/x^2 far out."""
+    return x / (15.0 + x**3)
+
+
+# the first three zeros of j2, from 50-digit root finding
+_ZEROS = [float(mpmath.findroot(_j2, x0)) for x0 in (5.76, 9.10, 12.32)]
+
+_POINTS = np.concatenate(
+    [
+        np.geomspace(1e-8, 200.0, 400),
+        np.linspace(1.9, 2.1, 21),  # around the series / trig cross-over
+        *(zero + np.linspace(-1e-6, 1e-6, 9) for zero in _ZEROS),
+    ]
+)
+
+_REFS = [_j2(x) / x for x in _POINTS]
+
+
+def _worst_scaled_error(values):
+    return max(
+        float(abs(mpmath.mpf(float(v)) - ref)) / _scale(x)
+        for v, x, ref in zip(values, _POINTS, _REFS)
+    )
+
+
+def test_j2_over_x_scalar_matches_mpmath():
+    assert _worst_scaled_error([j2_over_x(float(x)) for x in _POINTS]) <= 1e-14
+
+
+def test_j2_over_x_array_matches_mpmath():
+    values = j2_over_x(_POINTS)
+    assert values.shape == _POINTS.shape
+    assert _worst_scaled_error(values) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-150, 1e154, 1e200, 1e300])
+def test_j2_over_x_extreme_arguments(x):
+    ref = _j2(x) / x
+    # within 1e-14 relative, or one step of the smallest subnormal once
+    # the true value leaves the normal range
+    tol = 1e-14 * abs(ref) + math.ulp(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scalar = j2_over_x(x)
+        array = j2_over_x(np.array([x, -x]))
+    assert math.isfinite(scalar) and np.all(np.isfinite(array))
+    assert abs(mpmath.mpf(scalar) - ref) <= tol
+    assert abs(mpmath.mpf(float(array[0])) - ref) <= tol
+    assert float(array[1]) == -float(array[0])  # odd in x
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(0.0, SQUEEZE_CAP),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+)
+def test_phase_weight_array_equals_scalar(r, phases):
+    values = phase_weight(r, np.array(phases))
+    assert values.shape == (len(phases),)
+    tol = 1e-15 * phase_weight_max(r)
+    for got, phase in zip(values, phases):
+        assert abs(got - phase_weight(r, phase)) <= tol
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40))
+def test_j2_over_x_array_equals_scalar(xs):
+    values = j2_over_x(np.array(xs))
+    for got, x in zip(values, xs):
+        assert abs(got - j2_over_x(x)) <= 1e-15 * _scale(x)
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, 3.342, 7.0, 30.0])
+def test_j2_prime_numerator_is_x4_times_the_derivative(x):
+    def numerator(t):
+        return t**4 * mpmath.diff(_j2, t)
+
+    value, slope = j2_prime_numerator(x)
+    assert abs(value - numerator(x)) <= 1e-14 * x**3
+    assert abs(slope - mpmath.diff(numerator, x)) <= 1e-13 * x**3
+
+
+def test_envelope_max_is_the_root_of_j2_prime():
+    root = mpmath.findroot(lambda t: mpmath.diff(_j2, t), 3.34)
+    x_star = locate_envelope_max()[0]
+    assert abs(x_star - root) <= 1e-13
+    assert abs(x_star - 3.342093657365694) <= 1e-15
+
+
+def test_import_pulls_in_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, recoherence; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
