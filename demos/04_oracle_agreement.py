@@ -3,9 +3,10 @@
 
 Every closed-form shift in the package descends from one double integral
 of a field correlation kernel over the two arms of the loop.  The oracle
-module evaluates that integral directly - composite Gauss-Legendre on a
-tensor grid, four oriented leg pairs, a refinement check that doubles the
-node budget - sharing no algebra with the closed forms.  Agreement to
+module evaluates that integral directly - the kernel's four terms
+contracted through one composite Gauss-Legendre line integral over the
+oriented legs, a refinement check that doubles the node budget - sharing
+no algebra with the closed forms.  Agreement to
 over ten digits across squeezes, phases, and frequencies is the package's
 strongest internal evidence.
 """

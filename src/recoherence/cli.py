@@ -48,6 +48,7 @@ from .estimates import (
     empty_space_estimate,
 )
 from .multimode_band import (
+    MAX_MODES,
     BandSpec,
     band_coherence_shift_exact,
     band_coherence_shift_leading,
@@ -130,6 +131,12 @@ _GRIDS = {
 
 _SWEEP_AXES = ("r", "theta", "omega-bar-T", "ratio-RT", "lambda3-over-V", "t0-omega")
 _MAX_AXES = 3
+
+#: most rows of a single-mode table or a sweep, and most values of one axis
+_MAX_ROWS = 10**6
+
+#: upper limits of the count options
+_COUNT_CAPS = {"t0-grid": _MAX_ROWS, "n-modes": MAX_MODES}
 
 _SWEEP_HEADER = (
     "r",
@@ -267,9 +274,11 @@ def _check_value(key: str, value) -> None:
     ):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
-    elif key in ("t0-grid", "n-modes"):
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value!r}")
+    elif key in _COUNT_CAPS:
+        if not 1 <= value <= _COUNT_CAPS[key]:
+            raise ConfigError(
+                f"{key} must lie in [1, {_COUNT_CAPS[key]}], got {value!r}"
+            )
     elif key == "nodes-per-period":
         if value < 16:
             raise ConfigError(f"{key} must be >= 16, got {value!r}")
@@ -298,8 +307,8 @@ def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
             if len(parts) != 3:
                 raise ValueError("expected START:STOP:COUNT")
             count = int(parts[2])
-            if count < 1:
-                raise ValueError("COUNT must be >= 1")
+            if not 1 <= count <= _MAX_ROWS:
+                raise ValueError(f"COUNT must lie in [1, {_MAX_ROWS}]")
             values = tuple(
                 float(v) for v in np.linspace(float(parts[0]), float(parts[1]), count)
             )
@@ -337,6 +346,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         names = [name for name, _ in axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate --vary axes: {', '.join(names)}")
+        rows = math.prod(len(values) for _, values in axes)
+        if rows > _MAX_ROWS:
+            raise ConfigError(f"--vary axes give {rows} rows, above {_MAX_ROWS}")
     return RunConfig(command=command, values=values, axes=axes, output=args.output)
 
 

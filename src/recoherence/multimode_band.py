@@ -37,6 +37,9 @@ from ._special import j2_over_x, phase_weight, windowed_phase_weight
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
 
+#: largest mode count of mode_sum_oracle (about 70 bytes of arrays a mode)
+MAX_MODES = 10**7
+
 
 @dataclass(frozen=True)
 class BandSpec:
@@ -216,8 +219,10 @@ def mode_sum_oracle(
     reproduces the single-mode shift at the band centre with the matched
     volume.
     """
-    if int(n_modes) != n_modes or n_modes < 1:
-        raise DomainError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+    if int(n_modes) != n_modes or not 1 <= n_modes <= MAX_MODES:
+        raise DomainError(
+            f"n_modes must be an integer in [1, {MAX_MODES}], got {n_modes!r}"
+        )
     t0 = float(t0)
     if not math.isfinite(t0):
         raise DomainError(f"emission time must be finite, got {t0!r}")

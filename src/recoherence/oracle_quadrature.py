@@ -6,11 +6,8 @@ kernel around the interference loop,
 
     W = -pi*alpha * loop-int dz loop-int dz' K(t, t'),
 
-with the loop traversed as arm C1 minus the mirrored arm C2.  The oracle
-realises that literally: the kernel is evaluated on a 2-D tensor grid and
-the four (C1, C2) x (C1, C2) leg pairs are summed with their orientation
-signs and z-velocities (+v, -v).  For a single squeezed mode the
-renormalized kernel is
+with the loop traversed as arm C1 minus the mirrored arm C2.  For a single
+squeezed mode the renormalized kernel is
 
     K_R(t, t') = (1/(V*omega)) * ( -mu*nu * e^{-i*omega*(t + t' + 2*t0)}
                                    + eta^2 * e^{-i*omega*(t - t')} + c.c. ),
@@ -19,12 +16,21 @@ and for the vacuum reference term
 
     K_0(t, t') = (1/(2*V*omega)) * ( e^{-i*omega*(t - t')} + c.c. ).
 
+Both kernels are sums of products of e^{-i*omega*t} and its conjugate
+(rank at most 4), so the double integral factorises through one complex
+line integral L = sum over legs of sign * int v_leg e^{-i*omega*(t+t0)} dt,
+arm C1 with orientation +1 and velocity +v, arm C2 with -1 and -v.  With
+Lb = conj(L) the squeezed term is (-mu*nu*L^2 - mu*conj(nu)*Lb^2
++ eta^2*(L*Lb + Lb*L)) / (V*omega) and the vacuum term (L*Lb + Lb*L) /
+(2*V*omega) at t0 = 0: time and memory are linear in the node count.
+
 Integrals use composite Gauss-Legendre panels sized by a nodes-per-period
-budget; every public entry point re-evaluates at doubled resolution and
-raises ConvergenceError when the two resolutions disagree beyond the
-configured tolerance, so a silently under-resolved oscillation cannot
-masquerade as agreement.  Summation orders are fixed, making results
-bit-reproducible on a given platform.
+budget, at most _MAX_NODES nodes per evaluation.  Every public entry point
+re-evaluates at doubled resolution and raises ConvergenceError when the two
+disagree beyond the configured tolerance, so a silently under-resolved
+oscillation cannot masquerade as agreement; an imaginary residue left by a
+mis-assembled kernel raises it too.  Summation orders are fixed, making
+results bit-reproducible on a given platform.
 """
 
 from __future__ import annotations
@@ -46,6 +52,13 @@ _SCHEME_ORDER = {"gl2": 2, "gl4": 4, "gl8": 8, "gl16": 16}
 #: acceptable relative size of the imaginary residue left after the
 #: conjugate kernel pairs cancel
 _IMAG_RESIDUE = 1e-10
+
+#: largest node count of one evaluation (about 2e5 in omega*T at the
+#: default budget with refinement); larger requests raise DomainError
+_MAX_NODES = 2**22
+
+#: (orientation, velocity sign) of arm C1 and of the mirrored arm C2
+_LEGS = ((1.0, 1.0), (-1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -104,10 +117,17 @@ def _panel_nodes(
 
     Panel count scales with the oscillation count so the configured
     nodes-per-period budget is met; a floor of four panels keeps smooth
-    integrands honest too.
+    integrands honest too.  Asking for more than _MAX_NODES nodes, or for a
+    non-finite oscillation count, raises DomainError before any allocation.
     """
     order = _SCHEME_ORDER[cfg.scheme]
-    panels = max(4, math.ceil(oscillations * cfg.nodes_per_period / order))
+    wanted = oscillations * cfg.nodes_per_period / order
+    if not wanted <= _MAX_NODES // order:  # also catches inf and nan
+        raise DomainError(
+            f"{oscillations:.3g} oscillations at {cfg.nodes_per_period} nodes per "
+            f"period need {wanted * order:.3g} nodes, above the cap of {_MAX_NODES}"
+        )
+    panels = max(4, math.ceil(wanted))
     xs, ws = _gauss_rule(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -133,33 +153,39 @@ def _refined(
     return fine
 
 
-def _loop_contraction(
-    kernel: np.ndarray, v: np.ndarray, weights: np.ndarray, what: str
-) -> float:
-    """Sum the four oriented leg pairs of the loop double integral.
+def _mode_oscillations(mode: ModeSpec, traj: Trajectory) -> float:
+    # periods of e^{i*omega*t} across the flight interval [-T, T]
+    return mode.omega * traj.half_time / math.pi
 
-    Arm C1 carries velocity +v with orientation +1, the mirrored arm C2
-    velocity -v with orientation -1.  The conjugate kernel pairs must
-    cancel the imaginary part; a residue above the tolerance indicates a
-    mis-assembled kernel and is reported rather than dropped.
+
+def _loop_line(
+    mode: ModeSpec, traj: Trajectory, t0: float, cfg: QuadratureConfig
+) -> complex:
+    """L = sum over legs of sign * int v_leg(t) e^{-i*omega*(t + t0)} dt.
+
+    The legs share the nodes: one line integral times their summed signs.
     """
-    legs = ((1.0, v), (-1.0, -v))
-    total = 0.0 + 0.0j
-    for sign_a, va in legs:
-        for sign_b, vb in legs:
-            total += sign_a * sign_b * ((weights * va) @ kernel @ (weights * vb))
+    t, w = _panel_nodes(
+        -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), cfg
+    )
+    phase = np.exp(-1j * mode.omega * (t + t0))
+    line = complex(np.dot(w * traj.velocity(t), phase))
+    return sum(sign * direction for sign, direction in _LEGS) * line
+
+
+def _loop_value(total: complex, what: str) -> float:
+    """-pi*alpha * Re(total), after checking the imaginary residue.
+
+    Conjugate kernel terms cancel the imaginary part; a residue above the
+    tolerance means a mis-assembled kernel and is reported, not dropped.
+    """
     residue = abs(total.imag)
     if residue > _IMAG_RESIDUE * max(abs(total.real), 1e-300):
         raise ConvergenceError(
             f"{what}: imaginary residue {residue:g} exceeds "
             f"{_IMAG_RESIDUE:g} of the real part {total.real:g}"
         )
-    return -math.pi * FINE_STRUCTURE * float(total.real)
-
-
-def _mode_oscillations(mode: ModeSpec, traj: Trajectory) -> float:
-    # periods of e^{i*omega*t} across the flight interval [-T, T]
-    return mode.omega * traj.half_time / math.pi
+    return -math.pi * FINE_STRUCTURE * total.real
 
 
 def quad_coherence_shift(
@@ -172,31 +198,28 @@ def quad_coherence_shift(
 ) -> float:
     """Single-mode coherence shift from the raw loop double integral.
 
-    Independent route to the closed form: assembles the squeezed-state
-    kernel K_R on a tensor grid and contracts it with the four oriented
-    leg pairs.  With ``refine`` (default) the result is accepted only if
-    doubling the node budget reproduces it within the configured
-    tolerance.
+    Independent route to the closed form: the four terms of the squeezed
+    kernel K_R contracted with the loop line integral L.  With ``refine``
+    (default) the result is accepted only if doubling the node budget
+    reproduces it within the configured tolerance.
     """
     t0 = float(t0)
     if not math.isfinite(t0):
         raise DomainError(f"emission time must be finite, got {t0!r}")
     cfg = cfg or _DEFAULT
     mu, nu, eta = state.mu, state.nu, state.eta
-    omega, volume = mode.omega, mode.volume
+    scale = mode.volume * mode.omega
 
     def evaluate(c: QuadratureConfig) -> float:
-        t, w = _panel_nodes(
-            -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), c
-        )
-        v = traj.velocity(t)
-        phase = np.exp(-1j * omega * (t + t0))
-        k_sum = (-mu * nu) * np.outer(phase, phase)
-        k_diff = (eta * eta) * np.outer(phase, np.conj(phase))
-        kernel = (k_sum + k_diff + np.conj(k_sum) + np.conj(k_diff)) / (
-            volume * omega
-        )
-        return _loop_contraction(kernel, v, w, "coherence-shift quadrature")
+        line = _loop_line(mode, traj, t0, c)
+        bar = line.conjugate()
+        total = (
+            -mu * nu * line * line
+            + -mu * nu.conjugate() * bar * bar
+            + eta * eta * line * bar
+            + eta * eta * bar * line
+        ) / scale
+        return _loop_value(total, "coherence-shift quadrature")
 
     if not refine:
         return evaluate(cfg)
@@ -211,21 +234,17 @@ def quad_vacuum_term(
 ) -> float:
     """Vacuum coherence loss of one mode from the raw loop double integral.
 
-    Contracts the vacuum kernel K_0 with the same four leg pairs; checks
+    The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
     cfg = cfg or _DEFAULT
-    omega, volume = mode.omega, mode.volume
+    scale = 2.0 * mode.volume * mode.omega
 
     def evaluate(c: QuadratureConfig) -> float:
-        t, w = _panel_nodes(
-            -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), c
-        )
-        v = traj.velocity(t)
-        phase = np.exp(-1j * omega * t)
-        k_diff = np.outer(phase, np.conj(phase)) / (2.0 * volume * omega)
-        kernel = k_diff + np.conj(k_diff)
-        return _loop_contraction(kernel, v, w, "vacuum-term quadrature")
+        line = _loop_line(mode, traj, 0.0, c)
+        bar = line.conjugate()
+        total = (line * bar + bar * line) / scale
+        return _loop_value(total, "vacuum-term quadrature")
 
     if not refine:
         return evaluate(cfg)
@@ -265,28 +284,8 @@ def quad_coherence_shift_separable(
     t0: float,
     cfg: QuadratureConfig | None = None,
 ) -> float:
-    """Coherence shift via the factorised form of the double integral.
-
-    The exponential kernels separate, so the 2-D contraction collapses to
-    one complex 1-D integral I = int v(t) e^{-i*omega*(t + t0)} dt:
-
-        W_R = -4*pi*alpha * (2*Re(-mu*nu*I^2) + 2*eta^2*|I|^2) / (V*omega).
-
-    Useful as a cross-check that the tensor-grid oracle respects the
-    product structure; not refinement-checked.
-    """
-    cfg = cfg or _DEFAULT
-    t0 = float(t0)
-    if not math.isfinite(t0):
-        raise DomainError(f"emission time must be finite, got {t0!r}")
-    mu, nu, eta = state.mu, state.nu, state.eta
-    omega, volume = mode.omega, mode.volume
-    t, w = _panel_nodes(
-        -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), cfg
-    )
-    line = complex(np.dot(w, traj.velocity(t) * np.exp(-1j * omega * (t + t0))))
-    assembled = 2.0 * (-mu * nu * line * line).real + 2.0 * eta * eta * abs(line) ** 2
-    return -4.0 * math.pi * FINE_STRUCTURE * assembled / (volume * omega)
+    """Coherence shift at the base budget, without the refinement check."""
+    return quad_coherence_shift(state, mode, traj, t0, cfg, refine=False)
 
 
 def integrate_oscillatory(

@@ -12,6 +12,7 @@ from recoherence import (
     band_coherence_shift_exact,
 )
 from recoherence import cli
+from recoherence.multimode_band import MAX_MODES
 
 
 def run_cli(*args):
@@ -235,3 +236,31 @@ def test_single_mode_edge_frequency_exits_one(capsys, edge):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recoherence: error: omega-bar-T=")
+
+
+def test_band_edge_frequency_exits_one(capsys):
+    # the band integral would need ~2e300 quadrature nodes; the cap refuses
+    assert cli.main(["band", "--omega-bar-T", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recoherence: error:")
+    assert "above the cap" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["band", "--n-modes", str(MAX_MODES + 1)],
+        ["single-mode", "--t0-grid", str(cli._MAX_ROWS + 1)],
+        ["sweep", "--vary", f"r=0:1:{cli._MAX_ROWS + 1}"],
+        ["sweep", "--vary", "r=0:1:1000",
+         "--vary", f"theta=0:1:{cli._MAX_ROWS // 1000 + 1}"],
+    ],
+    ids=["n-modes", "t0-grid", "vary-count", "sweep-rows"],
+)
+def test_size_caps_exit_one(capsys, argv):
+    # each value is one above its cap and is refused before any allocation
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("recoherence: config error:")

@@ -14,6 +14,7 @@ from recoherence import (
     coherence_shift,
     mode_sum_oracle,
 )
+from recoherence.multimode_band import MAX_MODES
 
 # Frozen from a 30-digit mpmath evaluation of the continuum band integral
 # at r = 1, theta = 0, center = 3.34, half_width = 0.334, solid angle 0.1,
@@ -133,3 +134,9 @@ def test_mode_sum_validation():
         mode_sum_oracle(state, band, traj, 0)
     with pytest.raises(DomainError):
         mode_sum_oracle(state, band, traj, 16, float("inf"))
+
+
+def test_mode_sum_cap_rejected_before_allocation():
+    state, band, traj = _setup()
+    with pytest.raises(DomainError, match=f"\\[1, {MAX_MODES}\\]"):
+        mode_sum_oracle(state, band, traj, MAX_MODES + 1)

@@ -19,6 +19,8 @@ from recoherence import (
     quad_vacuum_term,
     unitarity_sum,
 )
+from recoherence.constants import FINE_STRUCTURE
+from recoherence.oracle_quadrature import _loop_value, _MAX_NODES, _panel_nodes
 
 # frozen from 30-digit mpmath quadrature of the vacuum loop integral at
 # omega = pi, volume = 1, apex = half_time = 1
@@ -33,6 +35,46 @@ def _traj():
     return Trajectory(apex=0.1, half_time=1.0)
 
 
+def _tensor_loop(kernel, mode, traj):
+    """Literal loop double integral of an N x N kernel at the base budget.
+
+    Sums the four (C1, C2) x (C1, C2) leg pairs with their orientation signs
+    and z-velocities (+v, -v); the reference for the O(N) oracle.
+    """
+    t, w = _panel_nodes(
+        -traj.half_time, traj.half_time, mode.omega * traj.half_time / math.pi,
+        QuadratureConfig(),
+    )
+    v, k = traj.velocity(t), kernel(t)
+    legs = ((1.0, v), (-1.0, -v))
+    total = 0.0 + 0.0j
+    for sign_a, va in legs:
+        for sign_b, vb in legs:
+            total += sign_a * sign_b * ((w * va) @ k @ (w * vb))
+    return -math.pi * FINE_STRUCTURE * float(total.real)
+
+
+def _tensor_shift(state, mode, traj, t0):
+    def kernel(t):
+        phase = np.exp(-1j * mode.omega * (t + t0))
+        k_sum = (-state.mu * state.nu) * np.outer(phase, phase)
+        k_diff = (state.eta * state.eta) * np.outer(phase, np.conj(phase))
+        return (k_sum + k_diff + np.conj(k_sum) + np.conj(k_diff)) / (
+            mode.volume * mode.omega
+        )
+
+    return _tensor_loop(kernel, mode, traj)
+
+
+def _tensor_vacuum(mode, traj):
+    def kernel(t):
+        phase = np.exp(-1j * mode.omega * t)
+        k_diff = np.outer(phase, np.conj(phase)) / (2.0 * mode.volume * mode.omega)
+        return k_diff + np.conj(k_diff)
+
+    return _tensor_loop(kernel, mode, traj)
+
+
 @pytest.mark.parametrize("omega", [0.5, 3.34, 10.0])
 @pytest.mark.parametrize("r,theta,t0", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.3), (2.0, 0.9, 0.11)])
 def test_quadrature_matches_closed_form(omega, r, theta, t0):
@@ -41,6 +83,11 @@ def test_quadrature_matches_closed_form(omega, r, theta, t0):
     closed = coherence_shift(state, mode, traj, t0).value
     direct = quad_coherence_shift(state, mode, traj, t0)
     assert math.isclose(direct, closed, rel_tol=1e-8, abs_tol=1e-30)
+    # the O(N) line-integral route against the literal N x N assembly
+    line = quad_coherence_shift(state, mode, traj, t0, refine=False)
+    assert math.isclose(line, _tensor_shift(state, mode, traj, t0), rel_tol=1e-12)
+    vacuum = quad_vacuum_term(mode, traj, refine=False)
+    assert math.isclose(vacuum, _tensor_vacuum(mode, traj), rel_tol=1e-12)
 
 
 def test_separable_route_agrees_with_tensor_route():
@@ -130,3 +177,37 @@ def test_nonfinite_emission_time_rejected():
     mode, traj = _mode(3.34), _traj()
     with pytest.raises(DomainError):
         quad_coherence_shift(state, mode, traj, float("nan"))
+
+
+def test_high_frequency_oracle_matches_closed_forms():
+    # omega*T = 1000: about 2e4 nodes at the doubled budget, still O(N)
+    state, t0, x = SqueezeState(1.0, 0.3), 0.3, 1000.0
+    mode, traj = _mode(x), _traj()
+    # closed-form magnitudes without the zeros of j2 and of the weight g
+    vacuum_scale = (
+        4.0 * math.pi * FINE_STRUCTURE / (mode.volume * mode.omega)
+        * 256.0 * traj.apex**2 * (x / (15.0 + x**3)) ** 2
+    )
+    shift_scale = 2.0 * vacuum_scale * state.eta * (state.mu + state.eta)
+    closed = coherence_shift(state, mode, traj, t0).value
+    direct = quad_coherence_shift(state, mode, traj, t0)
+    assert abs(direct - closed) <= 1e-6 * shift_scale
+    vacuum = quad_vacuum_term(mode, traj)
+    assert abs(vacuum - unitarity_sum(mode, traj).vacuum) <= 1e-6 * vacuum_scale
+
+
+def test_imaginary_residue_is_reported():
+    assert _loop_value(complex(2.0, 1e-12), "probe") == -2.0 * math.pi * FINE_STRUCTURE
+    with pytest.raises(ConvergenceError, match="probe: imaginary residue"):
+        _loop_value(complex(2.0, 1e-9), "probe")
+
+
+def test_node_cap_rejected_before_allocation():
+    # gl8 at 32 nodes per period: 131072 oscillations fill the cap exactly,
+    # so the next float above asks for one panel more
+    over = math.nextafter(_MAX_NODES / 32.0, math.inf)
+    for oscillations in (1e300, math.inf, math.nan, over):
+        with pytest.raises(DomainError, match=f"above the cap of {_MAX_NODES}"):
+            integrate_oscillatory(np.sin, 0.0, 1.0, oscillations, refine=False)
+    with pytest.raises(DomainError, match="nodes"):
+        quad_coherence_shift(SqueezeState(1.0), _mode(1e6), _traj(), 0.0)
