@@ -77,7 +77,6 @@ from .single_mode import (
 from .squeezed_state import (
     ModeSpec,
     SqueezeState,
-    bogoliubov,
     energy_density,
     mean_photon_number,
     total_energy,
@@ -106,7 +105,6 @@ __all__ = [
     "UnitaritySplit",
     "band_coherence_shift_exact",
     "band_coherence_shift_leading",
-    "bogoliubov",
     "cavity_estimate",
     "cavity_estimate_exact",
     "coherence_shift",

@@ -34,12 +34,11 @@ import configparser
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
-from .constants import SQUEEZE_CAP
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError, _finite_input
 from .estimates import (
     CavityScenario,
     EmptySpaceScenario,
@@ -157,16 +156,6 @@ _SWEEP_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: defaults, config file, flags merged."""
-
-    command: str
-    values: dict
-    axes: tuple = ()
-    output: str | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; keep 2 reserved for non-convergence
     def error(self, message):
@@ -254,34 +243,21 @@ def _load_config_section(path: str, command: str, table: dict) -> dict:
 
 
 def _check_value(key: str, value) -> None:
-    if key == "r":
-        if not (math.isfinite(value) and 0.0 <= value <= SQUEEZE_CAP):
-            raise ConfigError(f"r must lie in [0, {SQUEEZE_CAP:g}], got {value!r}")
-    elif key in ("theta", "t0-omega"):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
+    """The checks no constructor can make; every other value is checked
+    by the constructor or function it reaches."""
+    if key in ("omega-bar-T", "lambda3-over-V"):
+        # _mode_from divides by both before a ModeSpec exists
+        _finite_input(key, value, positive=True)
     elif key == "delta-omega-ratio":
+        # EmptySpaceScenario only warns about a band this wide
         if not (math.isfinite(value) and 0.0 < value < 1.0):
             raise ConfigError(f"{key} must lie in (0, 1), got {value!r}")
-    elif key in (
-        "omega-bar-T",
-        "ratio-RT",
-        "lambda3-over-V",
-        "solid-angle",
-        "R-over-lambda",
-        "rel-tol",
-        "abs-tol",
-    ):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
     elif key in _COUNT_CAPS:
+        # refused before anything of that size is allocated
         if not 1 <= value <= _COUNT_CAPS[key]:
             raise ConfigError(
                 f"{key} must lie in [1, {_COUNT_CAPS[key]}], got {value!r}"
             )
-    elif key == "nodes-per-period":
-        if value < 16:
-            raise ConfigError(f"{key} must be >= 16, got {value!r}")
     elif key == "grid":
         if value not in _GRIDS:
             raise ConfigError(
@@ -321,7 +297,8 @@ def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
     return name, values
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then the flags; sweep axes under "vary"."""
     command = args.command
     table = _OPTIONS[command]
     values = {key: default for key, (_, default, _) in table.items()}
@@ -336,9 +313,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             values[key] = given
     for key, value in values.items():
         _check_value(key, value)
-    axes: tuple = ()
     if command == "sweep":
-        if getattr(args, "vary", None):
+        if args.vary:
             vary_specs = list(args.vary)  # explicit flags replace config axes
         axes = tuple(_parse_axis(spec) for spec in vary_specs)
         if len(axes) > _MAX_AXES:
@@ -346,10 +322,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         names = [name for name, _ in axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate --vary axes: {', '.join(names)}")
-        rows = math.prod(len(values) for _, values in axes)
+        rows = math.prod(len(axis) for _, axis in axes)
         if rows > _MAX_ROWS:
             raise ConfigError(f"--vary axes give {rows} rows, above {_MAX_ROWS}")
-    return RunConfig(command=command, values=values, axes=axes, output=args.output)
+        values["vary"] = axes
+    return values
 
 
 def _format_cell(value) -> str:
@@ -371,12 +348,31 @@ def _write_table(header: tuple, rows: list, output: str | None) -> None:
             fh.write(text)
 
 
+def _write_row(row: dict, output: str | None) -> None:
+    """One-row table whose header is the keys of ``row``, in order."""
+    _write_table(tuple(row), [tuple(row.values())], output)
+
+
+def _inputs(v: dict, *keys: str) -> dict:
+    """Option values as leading CSV columns, named with underscores."""
+    return {key.replace("-", "_"): v[key] for key in keys}
+
+
+def _rel_err(value: float, reference: float) -> float:
+    return abs(value - reference) / max(abs(reference), 1e-30)
+
+
 def _quad_config(values: dict) -> QuadratureConfig:
     return QuadratureConfig(
         nodes_per_period=values["nodes-per-period"],
         rel_tol=values["rel-tol"],
         abs_tol=values["abs-tol"],
     )
+
+
+def _show_warning(message, *_) -> None:
+    """Stands in for warnings.showwarning: one line, no path or source."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _warn_relativistic(traj: Trajectory) -> None:
@@ -409,8 +405,7 @@ def _mode_from(values: dict) -> ModeSpec:
     return ModeSpec(omega=omega, volume=volume)
 
 
-def _run_single_mode(config: RunConfig) -> int:
-    v = config.values
+def _run_single_mode(v: dict, output: str | None) -> int:
     state = SqueezeState(v["r"], v["theta"])
     mode = _mode_from(v)
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
@@ -425,7 +420,7 @@ def _run_single_mode(config: RunConfig) -> int:
         rows.append(
             (t0, modulation(state, params, t0), result.value, result.contrast_factor)
         )
-    _write_table(("t0", "g", "w_r", "contrast_factor"), rows, config.output)
+    _write_table(("t0", "g", "w_r", "contrast_factor"), rows, output)
     window = emission_window(state, params)
     split = unitarity_sum(mode, traj)
     print(
@@ -442,8 +437,7 @@ def _run_single_mode(config: RunConfig) -> int:
     return 0
 
 
-def _run_band(config: RunConfig) -> int:
-    v = config.values
+def _run_band(v: dict, output: str | None) -> int:
     state = SqueezeState(v["r"], v["theta"])
     omega = v["omega-bar-T"]
     band = BandSpec(
@@ -455,54 +449,26 @@ def _run_band(config: RunConfig) -> int:
     _warn_relativistic(traj)
     quad = _quad_config(v)
     t0 = v["t0-omega"] / omega
-    windowed_exact = band_coherence_shift_exact(state, band, traj, cfg=quad)
-    windowed_leading = band_coherence_shift_leading(state, band, traj)
-    leading_rel_err = abs(windowed_exact - windowed_leading) / max(
-        abs(windowed_exact), 1e-30
-    )
+    # t0-resolved first, so a bad t0 fails before the leading-order warnings
     t0_exact = band_coherence_shift_exact(
         state, band, traj, window_averaged=False, t0=t0, cfg=quad
     )
     mode_sum = mode_sum_oracle(state, band, traj, v["n-modes"], t0)
-    mode_sum_rel_err = abs(t0_exact - mode_sum) / max(abs(t0_exact), 1e-30)
-    header = (
-        "r",
-        "theta",
-        "omega_bar_T",
-        "ratio_RT",
-        "delta_omega_ratio",
-        "solid_angle",
-        "t0_omega",
-        "n_modes",
-        "windowed_exact",
-        "windowed_leading",
-        "leading_rel_err",
-        "t0_exact",
-        "mode_sum",
-        "mode_sum_rel_err",
-    )
-    row = (
-        v["r"],
-        v["theta"],
-        omega,
-        v["ratio-RT"],
-        v["delta-omega-ratio"],
-        v["solid-angle"],
-        v["t0-omega"],
-        v["n-modes"],
-        windowed_exact,
-        windowed_leading,
-        leading_rel_err,
-        t0_exact,
-        mode_sum,
-        mode_sum_rel_err,
-    )
-    _write_table(header, [row], config.output)
+    windowed_exact = band_coherence_shift_exact(state, band, traj, cfg=quad)
+    windowed_leading = band_coherence_shift_leading(state, band, traj)
+    row = _inputs(v, "r", "theta", "omega-bar-T", "ratio-RT", "delta-omega-ratio")
+    row.update(_inputs(v, "solid-angle", "t0-omega", "n-modes"))
+    row["windowed_exact"] = windowed_exact
+    row["windowed_leading"] = windowed_leading
+    row["leading_rel_err"] = _rel_err(windowed_leading, windowed_exact)
+    row["t0_exact"] = t0_exact
+    row["mode_sum"] = mode_sum
+    row["mode_sum_rel_err"] = _rel_err(mode_sum, t0_exact)
+    _write_row(row, output)
     return 0
 
 
-def _run_oracle(config: RunConfig) -> int:
-    v = config.values
+def _run_oracle(v: dict, output: str | None) -> int:
     omegas, squeezes, n_t0 = _GRIDS[v["grid"]]
     quad = _quad_config(v)
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
@@ -525,14 +491,14 @@ def _run_oracle(config: RunConfig) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                rel_err = abs(direct - closed) / max(abs(closed), 1e-30)
+                rel_err = _rel_err(direct, closed)
                 rows.append((omega, r, t0, closed, direct, rel_err))
                 if rel_err > worst[0]:
                     worst = (rel_err, (omega, r, t0))
     _write_table(
         ("omega_bar_T", "r", "t0", "closed", "quadrature", "rel_err"),
         rows,
-        config.output,
+        output,
     )
     rel_err, where = worst
     print(
@@ -549,77 +515,40 @@ def _run_oracle(config: RunConfig) -> int:
     return 0
 
 
-def _run_estimate(config: RunConfig) -> int:
-    v = config.values
+def _run_estimate(v: dict, output: str | None) -> int:
+    # both scenarios are built, so every option given is validated
+    cavity = CavityScenario.from_ratios(
+        v["ratio-RT"], v["lambda3-over-V"], v["R-over-lambda"]
+    )
+    empty = EmptySpaceScenario(
+        ratio_rt=v["ratio-RT"],
+        bandwidth_ratio=v["delta-omega-ratio"],
+        solid_angle=v["solid-angle"],
+        flight_phase=v["omega-bar-T"],
+    )
     if v["kind"] == "cavity":
-        scenario = CavityScenario.from_ratios(
-            v["ratio-RT"], v["lambda3-over-V"], v["R-over-lambda"]
-        )
-        header = (
-            "kind",
-            "ratio_RT",
-            "lambda3_over_V",
-            "R_over_lambda",
-            "flight_phase",
-            "averaged",
-            "exact",
-        )
-        row = (
-            "cavity",
-            v["ratio-RT"],
-            v["lambda3-over-V"],
-            v["R-over-lambda"],
-            scenario.flight_phase,
-            cavity_estimate(scenario),
-            cavity_estimate_exact(scenario),
-        )
+        row = _inputs(v, "kind", "ratio-RT", "lambda3-over-V", "R-over-lambda")
+        row["flight_phase"] = cavity.flight_phase
+        row["averaged"] = cavity_estimate(cavity)
+        row["exact"] = cavity_estimate_exact(cavity)
     else:
-        scenario = EmptySpaceScenario(
-            ratio_rt=v["ratio-RT"],
-            bandwidth_ratio=v["delta-omega-ratio"],
-            solid_angle=v["solid-angle"],
-            flight_phase=v["omega-bar-T"],
+        row = _inputs(
+            v, "kind", "ratio-RT", "delta-omega-ratio", "solid-angle", "omega-bar-T"
         )
-        header = (
-            "kind",
-            "ratio_RT",
-            "delta_omega_ratio",
-            "solid_angle",
-            "omega_bar_T",
-            "estimate",
-        )
-        row = (
-            "empty-space",
-            v["ratio-RT"],
-            v["delta-omega-ratio"],
-            v["solid-angle"],
-            v["omega-bar-T"],
-            empty_space_estimate(scenario),
-        )
-    _write_table(header, [row], config.output)
+        row["estimate"] = empty_space_estimate(empty)
+    _write_row(row, output)
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute a resolved non-sweep invocation; returns the exit code."""
-    runner = {
-        "single-mode": _run_single_mode,
-        "band": _run_band,
-        "oracle": _run_oracle,
-        "estimate": _run_estimate,
-    }[config.command]
-    return runner(config)
-
-
-def sweep(config: RunConfig) -> int:
-    """Cartesian sweep over the configured axes, row-major in axis order."""
-    names = [name for name, _ in config.axes]
-    grids = [list(values) for _, values in config.axes]
+def sweep(values: dict, output: str | None) -> int:
+    """Cartesian sweep over the ``vary`` axes, row-major in axis order."""
+    names = [name for name, _ in values["vary"]]
+    grids = [list(axis) for _, axis in values["vary"]]
     rows = []
     warned = False
     nan = float("nan")
     for combo in itertools.product(*grids):
-        point = dict(config.values)
+        point = dict(values)
         point.update(zip(names, combo))
         base = (
             point["r"],
@@ -658,29 +587,35 @@ def sweep(config: RunConfig) -> int:
         except RangeError:
             # row stays in the table so the grid shape is never silently lost
             rows.append(base + (nan,) * 8 + ("range_error",))
-    _write_table(_SWEEP_HEADER, rows, config.output)
+    _write_table(_SWEEP_HEADER, rows, output)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = _resolve(args)
-        if config.command == "sweep":
-            return sweep(config)
-        return run(config)
-    except ConfigError as exc:
-        print(f"recoherence: config error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, RangeError) as exc:
-        print(f"recoherence: error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"recoherence: did not converge: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"recoherence: i/o error: {exc}", file=sys.stderr)
-        return 1
+    runner = {
+        "single-mode": _run_single_mode,
+        "band": _run_band,
+        "oracle": _run_oracle,
+        "estimate": _run_estimate,
+        "sweep": sweep,
+    }[args.command]
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return runner(_resolve(args), args.output)
+        except ConfigError as exc:
+            print(f"recoherence: config error: {exc}", file=sys.stderr)
+            return 1
+        except (DomainError, RangeError) as exc:
+            print(f"recoherence: error: {exc}", file=sys.stderr)
+            return 1
+        except ConvergenceError as exc:
+            print(f"recoherence: did not converge: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"recoherence: i/o error: {exc}", file=sys.stderr)
+            return 1
 
 
-__all__ = ["ConfigError", "RunConfig", "main", "run", "sweep"]
+__all__ = ["ConfigError", "main", "sweep"]

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two guards that raise
+the first two of them."""
 
 from __future__ import annotations
+
+import math
 
 
 class DomainError(ValueError):
@@ -18,6 +21,22 @@ class RangeError(ValueError):
 class ConvergenceError(RuntimeError):
     """A quadrature did not stabilise under refinement: two successive
     resolutions disagree by more than the configured tolerance."""
+
+
+def _finite_input(name: str, value, positive: bool = False) -> float:
+    """float(value); DomainError unless it is finite (and > 0 if ``positive``)."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        rule = "finite and > 0" if positive else "finite"
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _finite_result(value: float, what: str) -> float:
+    """``value``; RangeError when it has left double precision."""
+    if not math.isfinite(value):
+        raise RangeError(f"{what} overflows double precision")
+    return value
 
 
 __all__ = ["DomainError", "RangeError", "ConvergenceError"]

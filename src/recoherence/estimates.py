@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import DomainError
+from .errors import DomainError, _finite_input
 from ._special import j2_over_x, j2_prime_numerator
 
 _FULL_SPHERE = 4.0 * math.pi
@@ -87,9 +87,7 @@ class CavityScenario:
 
     def __post_init__(self) -> None:
         for name in ("wavelength", "volume", "apex", "half_time"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+            value = _finite_input(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -108,21 +106,15 @@ class CavityScenario:
         """
         wavelength = float(wavelength)
         apex = float(apex_over_wavelength) * wavelength
-        if not (math.isfinite(float(ratio_rt)) and float(ratio_rt) > 0.0):
-            raise DomainError(f"ratio_rt must be finite and > 0, got {ratio_rt!r}")
-        if not (
-            math.isfinite(float(lambda3_over_volume))
-            and float(lambda3_over_volume) > 0.0
-        ):
-            raise DomainError(
-                f"lambda3_over_volume must be finite and > 0, got "
-                f"{lambda3_over_volume!r}"
-            )
+        ratio_rt = _finite_input("ratio_rt", ratio_rt, positive=True)
+        lambda3_over_volume = _finite_input(
+            "lambda3_over_volume", lambda3_over_volume, positive=True
+        )
         return cls(
             wavelength=wavelength,
-            volume=wavelength**3 / float(lambda3_over_volume),
+            volume=wavelength**3 / lambda3_over_volume,
             apex=apex,
-            half_time=apex / float(ratio_rt),
+            half_time=apex / ratio_rt,
         )
 
     @property
@@ -196,9 +188,7 @@ class EmptySpaceScenario:
 
     def __post_init__(self) -> None:
         for name in ("ratio_rt", "bandwidth_ratio", "solid_angle", "flight_phase"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+            value = _finite_input(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
         if self.ratio_rt > 1.0:
             warnings.warn(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_SQUARED
-from .errors import DomainError
+from .errors import DomainError, _finite_input
 from .oracle_quadrature import QuadratureConfig, integrate_oscillatory
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
@@ -56,35 +56,20 @@ class BandSpec:
         values above a tenth of the full sphere are flagged with a warning
         (the phase-space replacement stays valid, the beam just is not a
         narrow pencil any more).
-    distribution : str
-        Spectral occupation shape; only the top-hat indicator is
-        implemented.
     """
 
     center: float
     half_width: float
     solid_angle: float
-    distribution: str = "top-hat"
 
     def __post_init__(self) -> None:
-        center = float(self.center)
-        half_width = float(self.half_width)
-        solid_angle = float(self.solid_angle)
-        if not (math.isfinite(center) and center > 0.0):
-            raise DomainError(f"band centre must be finite and > 0, got {center!r}")
-        if not (math.isfinite(half_width) and 0.0 < half_width < center):
+        center = _finite_input("band centre", self.center, positive=True)
+        half_width = _finite_input("band half-width", self.half_width, positive=True)
+        solid_angle = _finite_input("solid angle", self.solid_angle, positive=True)
+        if not half_width < center:
             raise DomainError(
-                f"band half-width must satisfy 0 < half_width < center, got "
-                f"{half_width!r} (center {center!r})"
-            )
-        if not (math.isfinite(solid_angle) and solid_angle > 0.0):
-            raise DomainError(
-                f"solid angle must be finite and > 0, got {solid_angle!r}"
-            )
-        if self.distribution != "top-hat":
-            raise DomainError(
-                f"unsupported band distribution {self.distribution!r}; "
-                "only 'top-hat' is implemented"
+                f"band half-width must be < center, got {half_width!r} "
+                f"(center {center!r})"
             )
         if solid_angle > 0.4 * math.pi:
             warnings.warn(
@@ -132,9 +117,7 @@ def band_coherence_shift_exact(
     modulation at emission time ``t0`` is kept inside the integrand, each
     frequency contributing at its own phase 2*omega*t0 - theta.
     """
-    t0 = float(t0)
-    if not math.isfinite(t0):
-        raise DomainError(f"emission time must be finite, got {t0!r}")
+    t0 = _finite_input("emission time", t0)
     T = traj.half_time
     lo, hi = band.edges
     r, theta = state.r, state.theta
@@ -223,9 +206,7 @@ def mode_sum_oracle(
         raise DomainError(
             f"n_modes must be an integer in [1, {MAX_MODES}], got {n_modes!r}"
         )
-    t0 = float(t0)
-    if not math.isfinite(t0):
-        raise DomainError(f"emission time must be finite, got {t0!r}")
+    t0 = _finite_input("emission time", t0)
     n = int(n_modes)
     T, R = traj.half_time, traj.apex
     r, theta = state.r, state.theta

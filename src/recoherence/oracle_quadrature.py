@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _finite_input
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 
@@ -72,8 +72,8 @@ class QuadratureConfig:
     scheme : str
         Fixed panel order: one of "gl2", "gl4", "gl8", "gl16".
     rel_tol, abs_tol : float
-        Acceptance thresholds for the refinement check: the base and the
-        doubled resolution must agree within max(abs_tol, rel_tol*|value|).
+        Finite, positive thresholds of the refinement check: the base and
+        the doubled resolution must agree within max(abs_tol, rel_tol*|value|).
         At an over-resolved budget the two results can agree bit for bit,
         so a tolerance set below rounding noise does not make the check
         fail; only an under-resolved rule does.
@@ -97,8 +97,9 @@ class QuadratureConfig:
                 "nodes_per_period must be an integer >= 16, got "
                 f"{self.nodes_per_period!r}"
             )
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be > 0")
+        for name in ("rel_tol", "abs_tol"):
+            value = _finite_input(name, getattr(self, name), positive=True)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "nodes_per_period", int(self.nodes_per_period))
 
 
@@ -202,10 +203,14 @@ def quad_coherence_shift(
     kernel K_R contracted with the loop line integral L.  With ``refine``
     (default) the result is accepted only if doubling the node budget
     reproduces it within the configured tolerance.
+
+    Accuracy at the default budget: about 1e-8 of the value up to
+    omega*T ~ 1e4.  Beyond that the refinement check no longer bounds the
+    error, because both budgets share the rounding of the phase and of the
+    cancelling line integral: at omega*T = 1e5 it accepts values off by
+    1e-5 to 5e-4 of the value (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """
-    t0 = float(t0)
-    if not math.isfinite(t0):
-        raise DomainError(f"emission time must be finite, got {t0!r}")
+    t0 = _finite_input("emission time", t0)
     cfg = cfg or _DEFAULT
     mu, nu, eta = state.mu, state.nu, state.eta
     scale = mode.volume * mode.omega
@@ -303,8 +308,7 @@ def integrate_oscillatory(
     nodes-per-period budget.  With ``refine`` the node budget is doubled
     and disagreement beyond tolerance raises ConvergenceError.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"bad integration interval [{lo!r}, {hi!r}]")
+    _finite_input("integration interval length hi - lo", hi - lo, positive=True)
     cfg = cfg or _DEFAULT
 
     def evaluate(c: QuadratureConfig) -> float:

@@ -34,11 +34,12 @@ strategy beats a fluctuation-free field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import FINE_STRUCTURE
-from .errors import DomainError, RangeError
+from .errors import _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 from ._special import (
@@ -50,6 +51,9 @@ from ._special import (
     windowed_phase_weight,
 )
 
+#: largest argument of math.exp whose value is finite
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class PhaseFunctionParams:
@@ -57,28 +61,21 @@ class PhaseFunctionParams:
 
     For a mode of frequency omega and squeeze phase theta the physical
     convention is rate = 2*omega and offset = -theta; ``from_mode`` builds
-    that, with ``extra_offset`` available to move the emission-time origin
-    (a pure relabeling of t0 that no observable quantity depends on).
+    that.
     """
 
     offset: float
     rate: float
 
     def __post_init__(self) -> None:
-        offset = float(self.offset)
-        rate = float(self.rate)
-        if not math.isfinite(offset):
-            raise DomainError(f"phase offset must be finite, got {offset!r}")
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise DomainError(f"phase rate must be finite and > 0, got {rate!r}")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "offset", _finite_input("phase offset", self.offset))
+        object.__setattr__(
+            self, "rate", _finite_input("phase rate", self.rate, positive=True)
+        )
 
     @classmethod
-    def from_mode(
-        cls, mode: ModeSpec, state: SqueezeState, extra_offset: float = 0.0
-    ) -> "PhaseFunctionParams":
-        return cls(offset=-state.theta + extra_offset, rate=2.0 * mode.omega)
+    def from_mode(cls, mode: ModeSpec, state: SqueezeState) -> "PhaseFunctionParams":
+        return cls(offset=-state.theta, rate=2.0 * mode.omega)
 
 
 @dataclass(frozen=True)
@@ -129,10 +126,8 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     M -> (256/225)*R^2*omega^2*T^2, for omega*T -> 0.
     """
     s = j2_over_x(mode.omega * traj.half_time)
-    value = 256.0 * traj.apex**2 * s * s
-    if not math.isfinite(value):
-        raise RangeError("mode envelope overflows double precision")
-    return value
+    # apex * apex, not apex**2: float ** raises OverflowError past 1.3e154
+    return _finite_result(256.0 * (traj.apex * traj.apex) * s * s, "mode envelope")
 
 
 def modulation(state: SqueezeState, params: PhaseFunctionParams, t0: float) -> float:
@@ -141,9 +136,7 @@ def modulation(state: SqueezeState, params: PhaseFunctionParams, t0: float) -> f
     Ranges over [modulation_min, modulation_max] as t0 varies; negative
     values mark emission times at which the mode *restores* contrast.
     """
-    t0 = float(t0)
-    if not math.isfinite(t0):
-        raise DomainError(f"emission time must be finite, got {t0!r}")
+    t0 = _finite_input("emission time", t0)
     return phase_weight(state.r, params.offset + params.rate * t0)
 
 
@@ -168,12 +161,6 @@ def _shift_prefactor(mode: ModeSpec, traj: Trajectory) -> float:
     )
 
 
-def _checked(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise RangeError(f"{what} overflows double precision")
-    return value
-
-
 def coherence_shift(
     state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> CoherenceResult:
@@ -185,15 +172,14 @@ def coherence_shift(
     is positive (recoherence) exactly when the modulation is negative.
     """
     params = PhaseFunctionParams.from_mode(mode, state)
-    value = _checked(
+    value = _finite_result(
         _shift_prefactor(mode, traj) * modulation(state, params, t0),
         "coherence shift",
     )
-    try:
-        contrast = math.exp(value)
-    except OverflowError as exc:
-        raise RangeError("contrast factor overflows double precision") from exc
-    return CoherenceResult(value=value, contrast_factor=contrast)
+    contrast = math.exp(value) if value <= _LOG_MAX else math.inf
+    return CoherenceResult(
+        value=value, contrast_factor=_finite_result(contrast, "contrast factor")
+    )
 
 
 def long_time_average(
@@ -206,7 +192,7 @@ def long_time_average(
     control over the emission time, squeezing only ever deepens decoherence.
     """
     eta = state.eta
-    return _checked(
+    return _finite_result(
         _shift_prefactor(mode, traj) * eta * eta, "long-time average shift"
     )
 
@@ -254,7 +240,7 @@ def windowed_coherence_shift(
     and bounded by max_recoherence because the windowed modulation never
     drops below -1/3.
     """
-    return _checked(
+    return _finite_result(
         _shift_prefactor(mode, traj) * windowed_modulation(state),
         "windowed coherence shift",
     )
@@ -266,7 +252,7 @@ def max_recoherence(mode: ModeSpec, traj: Trajectory) -> float:
     Approached, never attained, as r -> infinity; independent of the
     squeeze state by construction.
     """
-    return _checked(
+    return _finite_result(
         8.0
         * math.pi
         * FINE_STRUCTURE
@@ -289,7 +275,7 @@ def unitarity_sum(mode: ModeSpec, traj: Trajectory) -> UnitaritySplit:
     """
     scale = 4.0 * math.pi * FINE_STRUCTURE / (mode.volume * mode.omega)
     envelope = mode_envelope(mode, traj)
-    vacuum = _checked(-scale * envelope, "vacuum coherence loss")
+    vacuum = _finite_result(-scale * envelope, "vacuum coherence loss")
     max_shift = max_recoherence(mode, traj)
     return UnitaritySplit(
         vacuum=vacuum, max_shift=max_shift, total=vacuum + max_shift

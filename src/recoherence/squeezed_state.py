@@ -24,15 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import SQUEEZE_CAP
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _finite_input, _finite_result
 from ._special import phase_weight
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -47,14 +40,17 @@ class SqueezeState:
     theta : float
         Squeeze phase in radians.  Stored unreduced; only differences
         modulo 2*pi ever matter physically.
+
+    The properties ``mu``, ``nu`` and ``eta`` are the Bogoliubov
+    coefficients; they satisfy mu^2 - |nu|^2 = 1.
     """
 
     r: float
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        r = _require_finite("r", self.r)
-        theta = _require_finite("theta", self.theta)
+        r = _finite_input("r", self.r)
+        theta = _finite_input("theta", self.theta)
         if r < 0.0:
             raise DomainError(f"squeeze magnitude must be >= 0, got {r}")
         if r > SQUEEZE_CAP:
@@ -92,12 +88,8 @@ class ModeSpec:
     volume: float
 
     def __post_init__(self) -> None:
-        omega = _require_finite("omega", self.omega)
-        volume = _require_finite("volume", self.volume)
-        if omega <= 0.0:
-            raise DomainError(f"mode frequency must be > 0, got {omega}")
-        if volume <= 0.0:
-            raise DomainError(f"quantisation volume must be > 0, got {volume}")
+        omega = _finite_input("mode frequency", self.omega, positive=True)
+        volume = _finite_input("quantisation volume", self.volume, positive=True)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "volume", volume)
 
@@ -105,18 +97,6 @@ class ModeSpec:
     def wavelength(self) -> float:
         """2*pi/omega."""
         return 2.0 * math.pi / self.omega
-
-
-def bogoliubov(state: SqueezeState) -> tuple[float, complex, float]:
-    """Bogoliubov coefficients (mu, nu, eta) of a squeezed vacuum.
-
-    Returns
-    -------
-    (mu, nu, eta)
-        mu = cosh(r), nu = e^{i*theta} sinh(r), eta = |nu| = sinh(r);
-        they satisfy mu^2 - |nu|^2 = 1.
-    """
-    return state.mu, state.nu, state.eta
 
 
 def mean_photon_number(state: SqueezeState) -> float:
@@ -139,25 +119,20 @@ def energy_density(state: SqueezeState, mode: ModeSpec, phase: float) -> float:
     is -(omega/V)*(1 - e^{-2r})/2 and the average over a full cycle is
     the (positive) mean density sinh(r)^2 * omega / V.
     """
-    phase = _require_finite("phase", phase)
-    value = mode.omega / mode.volume * phase_weight(state.r, phase)
-    if not math.isfinite(value):
-        raise RangeError("energy density overflows double precision")
-    return value
+    phase = _finite_input("phase", phase)
+    return _finite_result(
+        mode.omega / mode.volume * phase_weight(state.r, phase), "energy density"
+    )
 
 
 def total_energy(state: SqueezeState, mode: ModeSpec) -> float:
     """Renormalized mode energy sinh(r)^2 * omega (volume-independent)."""
-    value = mean_photon_number(state) * mode.omega
-    if not math.isfinite(value):
-        raise RangeError("total energy overflows double precision")
-    return value
+    return _finite_result(mean_photon_number(state) * mode.omega, "total energy")
 
 
 __all__ = [
     "SqueezeState",
     "ModeSpec",
-    "bogoliubov",
     "mean_photon_number",
     "energy_density",
     "total_energy",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite_input
 
 _MAX_SPEED_COEFF = 8.0 / (3.0 * math.sqrt(3.0))
 
@@ -47,14 +47,8 @@ class Trajectory:
     is_relativistic: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        apex = float(self.apex)
-        half_time = float(self.half_time)
-        if not (math.isfinite(apex) and apex > 0.0):
-            raise DomainError(f"apex must be finite and > 0, got {apex!r}")
-        if not (math.isfinite(half_time) and half_time > 0.0):
-            raise DomainError(
-                f"half flight time must be finite and > 0, got {half_time!r}"
-            )
+        apex = _finite_input("apex", self.apex, positive=True)
+        half_time = _finite_input("half flight time", self.half_time, positive=True)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "half_time", half_time)
         object.__setattr__(

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,37 +16,61 @@ from recoherence import cli
 from recoherence.multimode_band import MAX_MODES
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "recoherence", *args],
+@pytest.fixture
+def run_cli(capsys):
+    """Call cli.main in-process; returns the exit code and both streams."""
+
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+    return run
+
+
+def test_module_entry_point(run_cli):
+    # `python -m recoherence` passes the exit code and the bytes through
+    argv = ["estimate", "cavity"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "recoherence", *argv], capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == run_cli(*argv).stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "recoherence", "single-mode", "--r", "-1"],
         capture_output=True,
         timeout=300,
     )
+    assert proc.returncode == 1 and proc.stdout == b""
 
 
-def test_single_mode_default_table():
+def test_single_mode_default_table(run_cli):
     proc = run_cli("single-mode")
     assert proc.returncode == 0
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     assert lines[0] == "t0,g,w_r,contrast_factor"
     assert len(lines) == 1 + 32  # default t0-grid
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[2]) < 0.0  # t0 = 0 sits outside the window
     # summary (window, bounds) goes to stderr, never into the CSV stream
-    assert "window" in proc.stderr.decode()
+    assert "window" in proc.stderr
 
 
-def test_single_mode_grid_size_flag():
+def test_single_mode_grid_size_flag(run_cli):
     proc = run_cli("single-mode", "--t0-grid", "5")
     assert proc.returncode == 0
-    assert len(proc.stdout.decode().strip().split("\n")) == 6
+    assert len(proc.stdout.strip().split("\n")) == 6
 
 
-def test_estimate_cavity_row():
+def test_estimate_cavity_row(run_cli):
     proc = run_cli("estimate", "cavity")
     assert proc.returncode == 0
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     assert lines[0].startswith("kind,ratio_RT")
     cells = lines[1].split(",")
     assert cells[0] == "cavity"
@@ -54,18 +79,18 @@ def test_estimate_cavity_row():
     assert 0.0 < exact < averaged
 
 
-def test_estimate_empty_space_row():
+def test_estimate_empty_space_row(run_cli):
     proc = run_cli("estimate", "empty-space")
     assert proc.returncode == 0
-    cells = proc.stdout.decode().strip().split("\n")[1].split(",")
+    cells = proc.stdout.strip().split("\n")[1].split(",")
     assert cells[0] == "empty-space"
     assert 3e-7 < float(cells[-1]) < 3e-6
 
 
-def test_band_row_matches_library():
+def test_band_row_matches_library(run_cli):
     proc = run_cli("band", "--n-modes", "32")
     assert proc.returncode == 0
-    header, row = proc.stdout.decode().strip().split("\n")
+    header, row = proc.stdout.strip().split("\n")
     cells = dict(zip(header.split(","), row.split(",")))
     state = SqueezeState(1.0)
     band = BandSpec(center=3.34, half_width=0.334, solid_angle=0.1)
@@ -75,12 +100,11 @@ def test_band_row_matches_library():
     assert float(cells["mode_sum_rel_err"]) < 1e-3
 
 
-def test_oracle_quick_grid_passes():
+def test_oracle_quick_grid_passes(run_cli):
     proc = run_cli("oracle", "--grid", "quick")
     assert proc.returncode == 0
-    stderr = proc.stderr.decode()
-    assert "max relative error" in stderr
-    lines = proc.stdout.decode().strip().split("\n")
+    assert "max relative error" in proc.stderr
+    lines = proc.stdout.strip().split("\n")
     assert lines[0] == "omega_bar_T,r,t0,closed,quadrature,rel_err"
     assert len(lines) == 1 + 2 * 2 * 4
     worst = max(float(line.split(",")[-1]) for line in lines[1:])
@@ -101,7 +125,7 @@ def test_oracle_starved_tolerance_exits_two(monkeypatch, capsys):
     assert out == ""
 
 
-def test_sweep_determinism(tmp_path):
+def test_sweep_determinism(run_cli, tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     args = ("sweep", "--vary", "r=0:2:5", "--vary", "omega-bar-T=1,3.34")
@@ -110,12 +134,12 @@ def test_sweep_determinism(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     streamed = run_cli(*args)
     assert streamed.returncode == 0
-    assert streamed.stdout == out_a.read_bytes()
+    assert streamed.stdout.encode() == out_a.read_bytes()
 
 
-def test_sweep_row_major_order():
+def test_sweep_row_major_order(run_cli):
     proc = run_cli("sweep", "--vary", "r=0,1", "--vary", "ratio-RT=0.05,0.1")
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     header = lines[0].split(",")
     i_r, i_ratio = header.index("r"), header.index("ratio_RT")
     grid = [(row.split(",")[i_r], row.split(",")[i_ratio]) for row in lines[1:]]
@@ -128,73 +152,73 @@ def test_sweep_row_major_order():
     ]
 
 
-def test_sweep_marks_overflowing_rows():
+def test_sweep_marks_overflowing_rows(run_cli):
     proc = run_cli("sweep", "--vary", "r=1,20", "--ratio-RT", "1e150")
     assert proc.returncode == 0
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     status = [row.split(",")[-1] for row in lines[1:]]
     assert status == ["ok", "range_error"]
     # overflowed cells are nan but the row survives
     assert "nan" in lines[2]
 
 
-def test_sweep_degenerate_status():
+def test_sweep_degenerate_status(run_cli):
     proc = run_cli("sweep", "--vary", "r=0,1")
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     assert lines[1].endswith("degenerate")
     assert lines[2].endswith("ok")
 
 
-def test_config_file_supplies_defaults(tmp_path):
+def test_config_file_supplies_defaults(run_cli, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[single-mode]\nr = 0.5\nt0-grid = 3\n", encoding="utf-8")
     proc = run_cli("single-mode", "--config", str(ini))
     assert proc.returncode == 0
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     assert len(lines) == 4
     g0 = float(lines[1].split(",")[1])
     assert math.isclose(g0, 0.5 * math.expm1(1.0), rel_tol=1e-12)  # g_max at r = 0.5
 
 
-def test_flags_override_config(tmp_path):
+def test_flags_override_config(run_cli, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[single-mode]\nr = 0.5\nt0-grid = 3\n", encoding="utf-8")
     proc = run_cli("single-mode", "--config", str(ini), "--r", "1.0", "--t0-grid", "2")
-    lines = proc.stdout.decode().strip().split("\n")
+    lines = proc.stdout.strip().split("\n")
     assert len(lines) == 3
     g0 = float(lines[1].split(",")[1])
     assert math.isclose(g0, 0.5 * math.expm1(2.0), rel_tol=1e-12)  # g_max at r = 1
 
 
-def test_sweep_config_vary_axes(tmp_path):
+def test_sweep_config_vary_axes(run_cli, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[sweep]\nvary = r=0:1:3 ; ratio-RT=0.05,0.1\n", encoding="utf-8")
     proc = run_cli("sweep", "--config", str(ini))
     assert proc.returncode == 0
-    assert len(proc.stdout.decode().strip().split("\n")) == 1 + 3 * 2
+    assert len(proc.stdout.strip().split("\n")) == 1 + 3 * 2
 
 
-def test_unknown_config_key_exits_one(tmp_path):
+def test_unknown_config_key_exits_one(run_cli, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[single-mode]\nnonsense = 1\n", encoding="utf-8")
     proc = run_cli("single-mode", "--config", str(ini))
     assert proc.returncode == 1
-    assert "unknown key" in proc.stderr.decode()
+    assert "unknown key" in proc.stderr
 
 
-def test_missing_config_file_exits_one(tmp_path):
+def test_missing_config_file_exits_one(run_cli, tmp_path):
     proc = run_cli("single-mode", "--config", str(tmp_path / "absent.ini"))
     assert proc.returncode == 1
 
 
-def test_domain_violations_exit_one():
+def test_domain_violations_exit_one(run_cli):
     assert run_cli("single-mode", "--r", "-1").returncode == 1
     assert run_cli("single-mode", "--omega-bar-T", "0").returncode == 1
     assert run_cli("band", "--delta-omega-ratio", "1.5").returncode == 1
     assert run_cli("sweep", "--vary", "bogus=1,2").returncode == 1
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(run_cli):
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("single-mode", "--r", "abc").returncode == 1
     assert (
@@ -209,10 +233,10 @@ def test_usage_errors_exit_one():
     )
 
 
-def test_relativistic_warning_on_stderr():
+def test_relativistic_warning_on_stderr(run_cli):
     proc = run_cli("single-mode", "--ratio-RT", "0.7", "--t0-grid", "1")
     assert proc.returncode == 0
-    assert "exceeds 1" in proc.stderr.decode()
+    assert "exceeds 1" in proc.stderr
 
 
 @pytest.mark.parametrize("edge", ["1e-300", "1e300"])
@@ -264,3 +288,66 @@ def test_size_caps_exit_one(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recoherence: config error:")
+
+
+_BAD_VALUES = [
+    ["single-mode", "--r", "-1"],
+    ["single-mode", "--r", "nan"],
+    ["single-mode", "--r", "400"],
+    ["single-mode", "--theta", "inf"],
+    ["single-mode", "--omega-bar-T", "0"],
+    ["single-mode", "--omega-bar-T", "-1"],
+    ["single-mode", "--omega-bar-T", "nan"],
+    ["single-mode", "--lambda3-over-V", "0"],
+    ["single-mode", "--lambda3-over-V", "inf"],
+    ["single-mode", "--ratio-RT", "0"],
+    ["band", "--solid-angle", "-1"],
+    ["band", "--t0-omega", "nan"],
+    ["band", "--rel-tol", "inf"],
+    ["band", "--rel-tol", "nan"],
+    ["band", "--abs-tol", "0"],
+    ["band", "--nodes-per-period", "8"],
+    ["band", "--delta-omega-ratio", "1"],
+    ["band", "--delta-omega-ratio", "1.5"],
+    ["estimate", "empty-space", "--delta-omega-ratio", "1"],
+    ["estimate", "empty-space", "--delta-omega-ratio", "1.5"],
+    ["estimate", "cavity", "--R-over-lambda", "0"],
+    ["oracle", "--grid", "huge"],
+    ["sweep", "--vary", "r=-1,1"],
+    ["sweep", "--vary", "theta=nan,1"],
+    ["sweep", "--vary", "ratio-RT=0,1"],
+    ["sweep", "--vary", "t0-omega=inf,1"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_VALUES, ids="_".join)
+def test_bad_value_exits_one(run_cli, argv):
+    # each value fails in the one place that checks it, before any output
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(("recoherence: error:", "recoherence: config error:"))
+
+
+def test_sweep_point_above_squeeze_cap_is_a_range_error_row(run_cli):
+    proc = run_cli("sweep", "--vary", "r=349,351")
+    assert proc.returncode == 0
+    _, ok, capped = proc.stdout.strip().split("\n")
+    assert ok.endswith(",ok")
+    cells = capped.split(",")
+    assert float(cells[0]) == 351.0 and cells[-1] == "range_error"
+    assert all(math.isnan(float(cell)) for cell in cells[6:-1])
+
+
+def test_library_warnings_are_one_line(run_cli):
+    # the default band is wide enough for the leading-order warning; it is
+    # shown on every call as one line, without a path or a source line
+    first, second = run_cli("band"), run_cli("band")
+    assert first.returncode == 0 and first.stdout == second.stdout
+    want = (
+        "warning: half_width*T = 0.334 is not small; the leading-order band "
+        "formula degrades\n"
+    )
+    assert first.stderr == second.stderr == want

@@ -119,8 +119,6 @@ def test_band_validation():
         BandSpec(center=1.0, half_width=1.0, solid_angle=0.1)  # not < center
     with pytest.raises(DomainError):
         BandSpec(center=1.0, half_width=0.1, solid_angle=-0.1)
-    with pytest.raises(DomainError):
-        BandSpec(center=1.0, half_width=0.1, solid_angle=0.1, distribution="gauss")
 
 
 def test_wide_solid_angle_warns():

@@ -170,6 +170,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(scheme="simpson")
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
+    with pytest.raises(DomainError):
+        QuadratureConfig(rel_tol=float("inf"))
+    with pytest.raises(DomainError):
+        QuadratureConfig(abs_tol=float("nan"))
 
 
 def test_nonfinite_emission_time_rejected():

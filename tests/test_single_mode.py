@@ -7,6 +7,7 @@ from recoherence import (
     DomainError,
     ModeSpec,
     PhaseFunctionParams,
+    RangeError,
     SqueezeState,
     Trajectory,
     coherence_shift,
@@ -240,8 +241,6 @@ def test_params_from_mode():
     params = PhaseFunctionParams.from_mode(mode, state)
     assert params.rate == 2.0 * mode.omega
     assert params.offset == -0.7
-    shifted = PhaseFunctionParams.from_mode(mode, state, extra_offset=0.25)
-    assert math.isclose(shifted.offset, -0.7 + 0.25, rel_tol=1e-15)
 
 
 def test_bad_phase_params():
@@ -249,3 +248,17 @@ def test_bad_phase_params():
         PhaseFunctionParams(offset=0.0, rate=0.0)
     with pytest.raises(DomainError):
         PhaseFunctionParams(offset=float("nan"), rate=1.0)
+
+
+def test_overflow_is_a_range_error():
+    # at the window centre the shift is positive and grows like apex^2:
+    # e^{W_R} is 1.1e301 at apex 300 and above double precision at 320
+    state = SqueezeState(1.0)
+    mode = ModeSpec(omega=3.34, volume=(2.0 * math.pi / 3.34) ** 3)
+    t0 = math.pi / (2.0 * mode.omega)
+    result = coherence_shift(state, mode, Trajectory(apex=300.0, half_time=1.0), t0)
+    assert 690.0 < result.value < 700.0 and math.isfinite(result.contrast_factor)
+    with pytest.raises(RangeError, match="contrast factor"):
+        coherence_shift(state, mode, Trajectory(apex=320.0, half_time=1.0), t0)
+    with pytest.raises(RangeError, match="mode envelope"):
+        coherence_shift(state, mode, Trajectory(apex=1e160, half_time=1.0), t0)

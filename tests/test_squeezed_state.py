@@ -8,7 +8,6 @@ from recoherence import (
     ModeSpec,
     RangeError,
     SqueezeState,
-    bogoliubov,
     energy_density,
     mean_photon_number,
     total_energy,
@@ -21,21 +20,24 @@ SINH_SQ_1 = 1.3810978455418157
 
 
 def test_bogoliubov_at_r1():
-    mu, nu, eta = bogoliubov(SqueezeState(1.0))
+    state = SqueezeState(1.0)
+    mu, nu, eta = state.mu, state.nu, state.eta
     assert math.isclose(mu, COSH_1, rel_tol=1e-15)
     assert math.isclose(eta, SINH_1, rel_tol=1e-15)
     assert nu == pytest.approx(SINH_1 + 0j, rel=1e-15)
 
 
 def test_bogoliubov_carries_the_squeeze_phase():
-    mu, nu, eta = bogoliubov(SqueezeState(0.5, theta=0.7))
+    state = SqueezeState(0.5, theta=0.7)
+    mu, nu, eta = state.mu, state.nu, state.eta
     assert math.isclose(abs(nu), eta, rel_tol=1e-15)
     assert math.isclose(cmath.phase(nu), 0.7, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 2.0, 5.0])
 def test_hyperbolic_identity(r):
-    mu, nu, eta = bogoliubov(SqueezeState(r))
+    state = SqueezeState(r)
+    mu, nu, eta = state.mu, state.nu, state.eta
     # mu^2 - |nu|^2 = 1 keeps the transformation canonical
     assert math.isclose(mu * mu - abs(nu) ** 2, 1.0, rel_tol=1e-10)
 
