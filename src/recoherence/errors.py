@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the two guards that raise
+"""Exception types shared across the package, and the guards that raise
 the first two of them."""
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def _finite_input(name: str, value, positive: bool = False) -> float:
         rule = "finite and > 0" if positive else "finite"
         raise DomainError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+def _count_input(name: str, value, low: int, high: float = math.inf) -> int:
+    """int(value); DomainError unless it is a whole number in [low, high]."""
+    if not (low <= value <= high and value % 1 == 0):  # nan and inf fail too
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 def _finite_result(value: float, what: str) -> float:

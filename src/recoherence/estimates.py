@@ -27,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import DomainError, _finite_input
+from .errors import DomainError, _finite_input, _finite_result
+from .multimode_band import _cell_volume
+from .single_mode import _mode_shift, max_recoherence
+from .squeezed_state import ModeSpec
+from .trajectory import Trajectory
 from ._special import j2_over_x, j2_prime_numerator
 
 _FULL_SPHERE = 4.0 * math.pi
@@ -112,7 +116,7 @@ class CavityScenario:
         )
         return cls(
             wavelength=wavelength,
-            volume=wavelength**3 / lambda3_over_volume,
+            volume=wavelength * wavelength * wavelength / lambda3_over_volume,
             apex=apex,
             half_time=apex / ratio_rt,
         )
@@ -138,13 +142,16 @@ def cavity_estimate(scenario: CavityScenario) -> float:
             "envelope 512/x^2 is unreliable there, prefer the exact form",
             stacklevel=2,
         )
-    return (
+    w, ratio = scenario.wavelength, scenario.apex / scenario.half_time
+    return _finite_result(
         FINE_STRUCTURE
         / (12.0 * math.pi**2)
-        * (scenario.wavelength**3 / scenario.volume)
-        * (scenario.apex / scenario.half_time) ** 2
+        * (w * w * w / scenario.volume)
+        * (ratio * ratio)
         * 512.0
-        / x**2
+        / x
+        / x,
+        "averaged cavity estimate",
     )
 
 
@@ -155,14 +162,8 @@ def cavity_estimate_exact(scenario: CavityScenario) -> float:
     and trajectory; can sit far below the averaged estimate when the
     flight phase lands near a zero of the envelope.
     """
-    x = scenario.flight_phase
-    return (
-        FINE_STRUCTURE
-        / (12.0 * math.pi**2)
-        * (scenario.wavelength**3 / scenario.volume)
-        * (scenario.apex / scenario.half_time) ** 2
-        * coupling_envelope(x)
-    )
+    mode = ModeSpec(omega=2.0 * math.pi / scenario.wavelength, volume=scenario.volume)
+    return max_recoherence(mode, Trajectory(scenario.apex, scenario.half_time))
 
 
 @dataclass(frozen=True)
@@ -217,16 +218,13 @@ def empty_space_estimate(scenario: EmptySpaceScenario) -> float:
             * F(flight_phase) * solid_angle
 
     i.e. the leading narrow-band shift with the window average pinned at
-    its deep-squeezing value -1/3.
+    its deep-squeezing value -1/3.  Units of the band centre (omega = 1,
+    T = flight_phase) keep the cell volume within double precision.
     """
-    return (
-        FINE_STRUCTURE
-        / (6.0 * math.pi**2)
-        * scenario.ratio_rt**2
-        * scenario.bandwidth_ratio
-        * coupling_envelope(scenario.flight_phase)
-        * scenario.solid_angle
-    )
+    x = scenario.flight_phase
+    volume = _cell_volume(scenario.solid_angle, 1.0, 2.0 * scenario.bandwidth_ratio)
+    shift = _mode_shift(1.0, volume, Trajectory(scenario.ratio_rt * x, x))
+    return _finite_result(-shift / 3.0, "empty-space estimate")
 
 
 __all__ = [

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import E_SQUARED
-from .errors import DomainError, _finite_input
+from .errors import DomainError, RangeError, _count_input
+from .errors import _finite_input, _finite_result
 from .oracle_quadrature import QuadratureConfig, integrate_oscillatory
+from .single_mode import _mode_shift
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import j2_over_x, phase_weight, windowed_phase_weight
+from ._special import phase_weight, windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
@@ -91,15 +92,18 @@ class BandSpec:
         return self.half_width / self.center
 
 
-def _phase_space_prefactor(band: BandSpec, traj: Trajectory) -> float:
-    R, T = traj.apex, traj.half_time
-    return (
-        -2.0
-        * E_SQUARED
-        * (16.0 * R / T**2) ** 2
-        * band.solid_angle
-        / (2.0 * math.pi) ** 3
-    )
+def _cell_volume(solid_angle: float, omega, width):
+    """(2*pi)^3/(solid_angle*omega^2*width), the volume V one phase-space
+    cell of the beam stands in for, at a scalar or an array omega.
+
+    Divided factor by factor: a cell too sparse for double precision gets
+    V = inf and a shift that rounds to 0; a V that underflows to 0 raises.
+    """
+    with np.errstate(over="ignore"):
+        volume = (2.0 * math.pi) ** 3 / solid_angle / omega / omega / width
+    if not np.all(volume > 0.0):
+        raise RangeError("phase-space cell volume underflows double precision")
+    return volume
 
 
 def band_coherence_shift_exact(
@@ -118,29 +122,21 @@ def band_coherence_shift_exact(
     frequency contributing at its own phase 2*omega*t0 - theta.
     """
     t0 = _finite_input("emission time", t0)
-    T = traj.half_time
+    g_avg = windowed_phase_weight(state.r)
+
+    def integrand(omega: np.ndarray) -> np.ndarray:
+        # the modes per unit frequency at omega fill a cell of width 1
+        shift = _mode_shift(omega, _cell_volume(band.solid_angle, omega, 1.0), traj)
+        if window_averaged:
+            return g_avg * shift
+        return phase_weight(state.r, 2.0 * omega * t0 - state.theta) * shift
+
+    span = traj.half_time if window_averaged else traj.half_time + abs(t0)
     lo, hi = band.edges
-    r, theta = state.r, state.theta
-
-    if window_averaged:
-        g_avg = windowed_phase_weight(r)
-
-        def integrand(omega: np.ndarray) -> np.ndarray:
-            s = j2_over_x(omega * T) * omega * T  # j2(omega*T) itself
-            return g_avg * T * T * s * s / omega
-
-        oscillations = 2.0 * band.half_width * T / math.pi
-    else:
-
-        def integrand(omega: np.ndarray) -> np.ndarray:
-            s = j2_over_x(omega * T) * omega * T
-            g = phase_weight(r, 2.0 * omega * t0 - theta)
-            return g * T * T * s * s / omega
-
-        oscillations = 2.0 * band.half_width * (T + abs(t0)) / math.pi
-
-    integral = integrate_oscillatory(integrand, lo, hi, oscillations, cfg)
-    return _phase_space_prefactor(band, traj) * integral
+    integral = integrate_oscillatory(
+        integrand, lo, hi, 2.0 * band.half_width * span / math.pi, cfg
+    )
+    return _finite_result(integral, "band coherence shift")
 
 
 def band_coherence_shift_leading(
@@ -153,35 +149,25 @@ def band_coherence_shift_leading(
             * ((center^2*T^2 - 3)*sin(center*T) + 3*center*T*cos(center*T))^2
             * (half_width/center),
 
-    the square bracket being evaluated as 1024*j2(center*T)^2 times the
-    remaining powers.  Relative deviation from the exact integral falls
-    like the bandwidth ratio squared.  Emits warnings when the band is not
-    actually narrow (half_width*T or half_width/center above 0.3).
+    evaluated as g_avg times the single-mode shift of the centre mode in
+    the cell of the whole band.  Relative deviation from the exact integral
+    falls like the bandwidth ratio squared.  Emits warnings when the band is
+    not actually narrow (half_width*T or half_width/center above 0.3).
     """
-    T = traj.half_time
-    if band.half_width * T > _NARROW:
-        warnings.warn(
-            f"half_width*T = {band.half_width * T:g} is not small; the "
-            "leading-order band formula degrades",
-            stacklevel=2,
-        )
-    if band.bandwidth_ratio > _NARROW:
-        warnings.warn(
-            f"half_width/center = {band.bandwidth_ratio:g} is not small; "
-            "the leading-order band formula degrades",
-            stacklevel=2,
-        )
-    x = band.center * T
-    s = j2_over_x(x) * x  # j2(center*T)
-    envelope = 1024.0 * s * s  # (32/x^3)^2 * bracket(x)^2
-    return (
-        -E_SQUARED
-        * (traj.apex / T) ** 2
-        * windowed_phase_weight(state.r)
-        * band.solid_angle
-        / (2.0 * math.pi) ** 3
-        * envelope
-        * band.bandwidth_ratio
+    for name, size in (
+        ("half_width*T", band.half_width * traj.half_time),
+        ("half_width/center", band.bandwidth_ratio),
+    ):
+        if size > _NARROW:
+            warnings.warn(
+                f"{name} = {size:g} is not small; the leading-order band "
+                "formula degrades",
+                stacklevel=2,
+            )
+    volume = _cell_volume(band.solid_angle, band.center, 2.0 * band.half_width)
+    return _finite_result(
+        windowed_phase_weight(state.r) * _mode_shift(band.center, volume, traj),
+        "leading band shift",
     )
 
 
@@ -195,31 +181,20 @@ def mode_sum_oracle(
     """Discrete mode-sum route to the t0-resolved band shift.
 
     Places ``n_modes`` modes at the midpoints of equal frequency cells
-    across the band and adds their single-mode contributions, each with
-    the phase-space cell weight (dOmega/(2*pi)^3) * omega^2 * cell_width
+    across the band and adds their single-mode shifts, each with the
+    phase-space cell weight (dOmega/(2*pi)^3) * omega^2 * cell_width
     standing in for 1/V.  Converges to the continuum integral as the cell
     count grows (midpoint-rule, error ~ 1/n_modes^2); with one mode it
     reproduces the single-mode shift at the band centre with the matched
     volume.
     """
-    if int(n_modes) != n_modes or not 1 <= n_modes <= MAX_MODES:
-        raise DomainError(
-            f"n_modes must be an integer in [1, {MAX_MODES}], got {n_modes!r}"
-        )
+    n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
-    n = int(n_modes)
-    T, R = traj.half_time, traj.apex
-    r, theta = state.r, state.theta
-    lo, _ = band.edges
     cell = 2.0 * band.half_width / n
-    omegas = lo + (np.arange(n) + 0.5) * cell
-    inv_volume = band.solid_angle / (2.0 * math.pi) ** 3 * omegas**2 * cell
-    s = j2_over_x(omegas * T)
-    envelope = 256.0 * R * R * s * s  # single-mode envelope M(omega)
-    g = phase_weight(r, 2.0 * omegas * t0 - theta)
-    # sum of single-mode shifts -(2 e^2 / (V omega)) g M, fixed index order
-    contributions = -2.0 * E_SQUARED * inv_volume / omegas * g * envelope
-    return float(np.sum(contributions))
+    omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
+    shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
+    shifts *= phase_weight(state.r, 2.0 * omegas * t0 - state.theta)
+    return _finite_result(float(np.sum(shifts)), "mode sum")
 
 
 __all__ = [

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import ConvergenceError, DomainError, _finite_input
+from .errors import ConvergenceError, DomainError, _count_input, _finite_input
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 
@@ -90,17 +90,11 @@ class QuadratureConfig:
                 f"unknown scheme {self.scheme!r}; expected one of "
                 f"{sorted(_SCHEME_ORDER)}"
             )
-        if int(self.nodes_per_period) != self.nodes_per_period or (
-            self.nodes_per_period < 16
-        ):
-            raise DomainError(
-                "nodes_per_period must be an integer >= 16, got "
-                f"{self.nodes_per_period!r}"
-            )
+        nodes = _count_input("nodes_per_period", self.nodes_per_period, 16)
+        object.__setattr__(self, "nodes_per_period", nodes)
         for name in ("rel_tol", "abs_tol"):
             value = _finite_input(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "nodes_per_period", int(self.nodes_per_period))
 
 
 _DEFAULT = QuadratureConfig()
@@ -140,10 +134,15 @@ def _panel_nodes(
 
 def _refined(
     evaluate: Callable[[QuadratureConfig], float],
-    cfg: QuadratureConfig,
+    cfg: QuadratureConfig | None,
     what: str,
+    refine: bool,
 ) -> float:
+    """evaluate(cfg), checked against the doubled budget when ``refine``."""
+    cfg = cfg or _DEFAULT
     coarse = evaluate(cfg)
+    if not refine:
+        return coarse
     fine = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(fine))
     if abs(fine - coarse) > tol:
@@ -211,7 +210,6 @@ def quad_coherence_shift(
     1e-5 to 5e-4 of the value (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """
     t0 = _finite_input("emission time", t0)
-    cfg = cfg or _DEFAULT
     mu, nu, eta = state.mu, state.nu, state.eta
     scale = mode.volume * mode.omega
 
@@ -226,9 +224,7 @@ def quad_coherence_shift(
         ) / scale
         return _loop_value(total, "coherence-shift quadrature")
 
-    if not refine:
-        return evaluate(cfg)
-    return _refined(evaluate, cfg, "coherence-shift quadrature")
+    return _refined(evaluate, cfg, "coherence-shift quadrature", refine)
 
 
 def quad_vacuum_term(
@@ -242,7 +238,6 @@ def quad_vacuum_term(
     The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    cfg = cfg or _DEFAULT
     scale = 2.0 * mode.volume * mode.omega
 
     def evaluate(c: QuadratureConfig) -> float:
@@ -251,9 +246,7 @@ def quad_vacuum_term(
         total = (line * bar + bar * line) / scale
         return _loop_value(total, "vacuum-term quadrature")
 
-    if not refine:
-        return evaluate(cfg)
-    return _refined(evaluate, cfg, "vacuum-term quadrature")
+    return _refined(evaluate, cfg, "vacuum-term quadrature", refine)
 
 
 def quad_envelope(
@@ -266,20 +259,15 @@ def quad_envelope(
 
     M = (integral of v(t)*sin(omega*t) over the flight)^2; numerical
     counterpart of the closed-form envelope, sharing no algebra with it.
+    v is odd, so at t0 = 0 the loop line integral L is -2i times that
+    overlap and M = |L|^2/4.
     """
-    cfg = cfg or _DEFAULT
-    omega = mode.omega
 
     def evaluate(c: QuadratureConfig) -> float:
-        t, w = _panel_nodes(
-            -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), c
-        )
-        overlap = float(np.dot(w, traj.velocity(t) * np.sin(omega * t)))
-        return overlap * overlap
+        half = 0.5 * abs(_loop_line(mode, traj, 0.0, c))
+        return half * half
 
-    if not refine:
-        return evaluate(cfg)
-    return _refined(evaluate, cfg, "envelope quadrature")
+    return _refined(evaluate, cfg, "envelope quadrature", refine)
 
 
 def quad_coherence_shift_separable(
@@ -309,15 +297,12 @@ def integrate_oscillatory(
     and disagreement beyond tolerance raises ConvergenceError.
     """
     _finite_input("integration interval length hi - lo", hi - lo, positive=True)
-    cfg = cfg or _DEFAULT
 
     def evaluate(c: QuadratureConfig) -> float:
         x, w = _panel_nodes(lo, hi, oscillations, c)
         return float(np.dot(w, f(x)))
 
-    if not refine:
-        return evaluate(cfg)
-    return _refined(evaluate, cfg, "oscillatory integral")
+    return _refined(evaluate, cfg, "oscillatory integral", refine)
 
 
 __all__ = [

@@ -125,9 +125,26 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     emission time; vanishes at the zeros of j2 and opens quadratically,
     M -> (256/225)*R^2*omega^2*T^2, for omega*T -> 0.
     """
-    s = j2_over_x(mode.omega * traj.half_time)
-    # apex * apex, not apex**2: float ** raises OverflowError past 1.3e154
-    return _finite_result(256.0 * (traj.apex * traj.apex) * s * s, "mode envelope")
+    return _envelope(mode.omega, traj)
+
+
+def _envelope(omega, traj: Trajectory):
+    """M at a scalar or an array of frequencies omega."""
+    # apex * apex, not apex**2: float ** raises OverflowError past 1.3e154;
+    # |j2(x)/x| < 1/8, so M is finite exactly when this coupling is
+    coupling = _finite_result(256.0 * (traj.apex * traj.apex), "mode envelope")
+    s = j2_over_x(omega * traj.half_time)
+    return coupling * s * s
+
+
+def _mode_shift(omega, volume, traj: Trajectory):
+    """-(8*pi*alpha/(V*omega)) * M, the shift of one mode per unit modulation.
+
+    The one place it is written: the closed forms here, the band and the
+    estimates (with V a phase-space cell volume) use it, scalar or array.
+    """
+    envelope = _envelope(omega, traj)
+    return -8.0 * math.pi * FINE_STRUCTURE / (volume * omega) * envelope
 
 
 def modulation(state: SqueezeState, params: PhaseFunctionParams, t0: float) -> float:
@@ -150,17 +167,6 @@ def modulation_max(state: SqueezeState) -> float:
     return phase_weight_max(state.r)
 
 
-def _shift_prefactor(mode: ModeSpec, traj: Trajectory) -> float:
-    """-(8*pi*alpha/(V*omega)) * M, the factor multiplying the modulation."""
-    return (
-        -8.0
-        * math.pi
-        * FINE_STRUCTURE
-        / (mode.volume * mode.omega)
-        * mode_envelope(mode, traj)
-    )
-
-
 def coherence_shift(
     state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> CoherenceResult:
@@ -173,7 +179,7 @@ def coherence_shift(
     """
     params = PhaseFunctionParams.from_mode(mode, state)
     value = _finite_result(
-        _shift_prefactor(mode, traj) * modulation(state, params, t0),
+        _mode_shift(mode.omega, mode.volume, traj) * modulation(state, params, t0),
         "coherence shift",
     )
     contrast = math.exp(value) if value <= _LOG_MAX else math.inf
@@ -193,7 +199,8 @@ def long_time_average(
     """
     eta = state.eta
     return _finite_result(
-        _shift_prefactor(mode, traj) * eta * eta, "long-time average shift"
+        _mode_shift(mode.omega, mode.volume, traj) * eta * eta,
+        "long-time average shift",
     )
 
 
@@ -241,7 +248,7 @@ def windowed_coherence_shift(
     drops below -1/3.
     """
     return _finite_result(
-        _shift_prefactor(mode, traj) * windowed_modulation(state),
+        _mode_shift(mode.omega, mode.volume, traj) * windowed_modulation(state),
         "windowed coherence shift",
     )
 
@@ -273,9 +280,10 @@ def unitarity_sum(mode: ModeSpec, traj: Trajectory) -> UnitaritySplit:
     recoherence can win back at most two thirds of the vacuum loss, so the
     combined contrast factor never exceeds one.
     """
-    scale = 4.0 * math.pi * FINE_STRUCTURE / (mode.volume * mode.omega)
-    envelope = mode_envelope(mode, traj)
-    vacuum = _finite_result(-scale * envelope, "vacuum coherence loss")
+    # halving is exact, so this is -(4*pi*alpha/(V*omega))*M to the bit
+    vacuum = _finite_result(
+        0.5 * _mode_shift(mode.omega, mode.volume, traj), "vacuum coherence loss"
+    )
     max_shift = max_recoherence(mode, traj)
     return UnitaritySplit(
         vacuum=vacuum, max_shift=max_shift, total=vacuum + max_shift

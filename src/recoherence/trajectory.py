@@ -67,24 +67,25 @@ class Trajectory:
             )
         return t
 
+    # in the scaled time u = t/T no power of T is formed: T**4 would
+    # overflow above T ~ 1e77 and underflow below 1e-77
     def position(self, t):
-        """Displacement z(t) = (R/T^4)*(t^2 - T^2)^2 of the +z arm.
+        """Displacement z(t) = R*(u^2 - 1)^2 of the +z arm, u = t/T.
 
         Accepts a scalar or array time in [-T, T]; z(+-T) = 0, z(0) = R.
         """
-        t = self._check_time(t)
-        T = self.half_time
-        out = self.apex / T**4 * (t * t - T * T) ** 2
+        u = self._check_time(t) / self.half_time
+        w = u * u - 1.0
+        out = self.apex * (w * w)
         return float(out) if out.ndim == 0 else out
 
     def velocity(self, t):
-        """Velocity v(t) = 4*R*t*(t^2 - T^2)/T^4 of the +z arm.
+        """Velocity v(t) = 4*(R/T)*u*(u^2 - 1) of the +z arm, u = t/T.
 
         Odd in t; vanishes at t = 0 and t = +-T.
         """
-        t = self._check_time(t)
-        T = self.half_time
-        out = 4.0 * self.apex * t * (t * t - T * T) / T**4
+        u = self._check_time(t) / self.half_time
+        out = 4.0 * (self.apex / self.half_time) * u * (u * u - 1.0)
         return float(out) if out.ndim == 0 else out
 
 

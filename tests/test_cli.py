@@ -274,6 +274,50 @@ def test_band_edge_frequency_exits_one(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["band", "--ratio-RT", "1e160"],
+        ["estimate", "cavity", "--ratio-RT", "1e160"],
+        ["estimate", "empty-space", "--ratio-RT", "1e160"],
+        ["estimate", "cavity", "--R-over-lambda", "1e200"],
+        ["estimate", "empty-space", "--solid-angle", "1e300", "--ratio-RT", "1e6"],
+        ["estimate", "cavity", "--lambda3-over-V", "1e300", "--ratio-RT", "1e10"],
+    ],
+    ids="_".join,
+)
+def test_band_and_estimate_overflow_exits_one(run_cli, argv):
+    # a result beyond double precision is one error line, never a traceback
+    # or an inf cell; library warnings may precede it
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (line,) = [l for l in proc.stderr.splitlines() if l.startswith("recoherence:")]
+    assert line.startswith("recoherence: error:")
+    assert line.endswith("overflows double precision")
+
+
+def test_band_at_tiny_frequency_rounds_to_zero(run_cli):
+    # omega-bar-T = 1e-300: the cell volumes overflow to inf, so every
+    # shift is a rounded 0, with no numpy warning on the way
+    proc = run_cli("band", "--omega-bar-T", "1e-300")
+    assert proc.returncode == 0 and proc.stderr == ""
+    header, row = proc.stdout.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    for name in ("windowed_exact", "windowed_leading", "t0_exact", "mode_sum"):
+        assert float(cells[name]) == 0.0
+
+
+def test_cavity_estimate_underflows_to_zero(run_cli):
+    # flight phase 2 pi * 1e200: both ceilings round to 0, nothing overflows
+    proc = run_cli("estimate", "cavity", "--ratio-RT", "1e-200")
+    assert proc.returncode == 0
+    header, row = proc.stdout.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["averaged"]) == 0.0 and float(cells["exact"]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["band", "--n-modes", str(MAX_MODES + 1)],
         ["single-mode", "--t0-grid", str(cli._MAX_ROWS + 1)],
         ["sweep", "--vary", f"r=0:1:{cli._MAX_ROWS + 1}"],

@@ -9,6 +9,7 @@ from recoherence import (
     DomainError,
     EmptySpaceScenario,
     ModeSpec,
+    RangeError,
     Trajectory,
     cavity_estimate,
     cavity_estimate_exact,
@@ -145,3 +146,18 @@ def test_scenario_validation():
         EmptySpaceScenario(
             ratio_rt=0.1, bandwidth_ratio=0.1, solid_angle=0.1, flight_phase=0.0
         )
+
+
+def test_overflow_is_a_range_error():
+    # R/T = 1e160 squares past double precision in all three ceilings
+    cavity = CavityScenario(wavelength=1.0, volume=1.0, apex=1e160, half_time=1.0)
+    with pytest.raises(RangeError):
+        cavity_estimate(cavity)
+    with pytest.raises(RangeError):
+        cavity_estimate_exact(cavity)
+    with pytest.warns(UserWarning, match="superluminal"):
+        empty = EmptySpaceScenario(
+            ratio_rt=1e160, bandwidth_ratio=0.1, solid_angle=0.1, flight_phase=3.34
+        )
+    with pytest.raises(RangeError):
+        empty_space_estimate(empty)

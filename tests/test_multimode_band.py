@@ -7,6 +7,7 @@ from recoherence import (
     BandSpec,
     DomainError,
     ModeSpec,
+    RangeError,
     SqueezeState,
     Trajectory,
     band_coherence_shift_exact,
@@ -132,6 +133,27 @@ def test_mode_sum_validation():
         mode_sum_oracle(state, band, traj, 0)
     with pytest.raises(DomainError):
         mode_sum_oracle(state, band, traj, 16, float("inf"))
+    for count in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="n_modes must be an integer"):
+            mode_sum_oracle(state, band, traj, count)
+
+
+def test_overflow_is_a_range_error():
+    # R/T = 1e160: R^2 leaves double precision in every route
+    state, band, _ = _setup()
+    traj = Trajectory(apex=1e160, half_time=1.0)
+    with pytest.raises(RangeError):
+        band_coherence_shift_exact(state, band, traj)
+    with pytest.raises(RangeError):
+        band_coherence_shift_exact(state, band, traj, window_averaged=False, t0=0.3)
+    with pytest.warns(UserWarning), pytest.raises(RangeError):
+        band_coherence_shift_leading(state, band, traj)  # warns: not narrow
+    with pytest.raises(RangeError):
+        mode_sum_oracle(state, band, traj, 64, 0.3)
+    # a cell volume that underflows to 0 is refused, not divided by
+    high = BandSpec(center=1e300, half_width=1e299, solid_angle=0.1)
+    with pytest.raises(RangeError, match="cell volume"):
+        mode_sum_oracle(state, high, Trajectory(0.1, 1.0), 4)
 
 
 def test_mode_sum_cap_rejected_before_allocation():

@@ -174,6 +174,9 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=float("inf"))
     with pytest.raises(DomainError):
         QuadratureConfig(abs_tol=float("nan"))
+    for count in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="nodes_per_period must be an integer"):
+            QuadratureConfig(nodes_per_period=count)
 
 
 def test_nonfinite_emission_time_rejected():

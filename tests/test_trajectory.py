@@ -74,6 +74,15 @@ def test_times_outside_the_flight_are_rejected():
         traj.velocity(np.array([0.0, 2.0]))
 
 
+def test_extreme_half_times():
+    # u = t/T keeps T^4 out: it would overflow at T = 1e100 and underflow
+    # at T = 1e-80, where the velocity is still a normal double
+    assert Trajectory(1.0, 1e100).velocity(0.5e100) == -1.5e-100
+    slow = Trajectory(1e-300, 1e-80)
+    assert math.isclose(slow.velocity(0.5e-80), -1.5e-220, rel_tol=1e-15)
+    assert math.isclose(slow.position(0.5e-80), 0.5625e-300, rel_tol=1e-15)
+
+
 def test_bad_construction():
     with pytest.raises(DomainError):
         Trajectory(apex=0.0, half_time=1.0)
