@@ -13,7 +13,7 @@ timing.
 import math
 
 from recoherence import (
-    PhaseFunctionParams,
+    ModeSpec,
     SqueezeState,
     emission_window,
     modulation,
@@ -22,18 +22,18 @@ from recoherence import (
 
 
 def main():
-    rate = 2.0 * 3.34  # phase advance rate for omega = 3.34
-    params = PhaseFunctionParams(offset=0.0, rate=rate)
+    mode = ModeSpec(omega=3.34, volume=1.0)
+    rate = 2.0 * mode.omega  # phase advance rate of the modulation
 
     print("modulation vs emission time at r = 1 (window marked)")
     state = SqueezeState(1.0)
-    window = emission_window(state, params)
+    window = emission_window(state, mode)
     print(f"window: [{window.start:.4f}, {window.end:.4f}]  width {window.width:.4f}")
     print(f"{'t0':>7} {'g(t0)':>10}")
     period = math.pi / 3.34
     for k in range(13):
         t0 = k * period / 12.0
-        g = modulation(state, params, t0)
+        g = modulation(state, mode, t0)
         inside = window.start <= t0 <= window.end
         print(f"{t0:7.4f} {g:10.4f}{'  <- window' if inside else ''}")
 
@@ -44,7 +44,7 @@ def main():
         f"{'<g>_window':>11}"
     )
     for r in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
-        w = emission_window(SqueezeState(r), params)
+        w = emission_window(SqueezeState(r), mode)
         print(
             f"{r:6.2f} {w.width * rate:11.5f} {math.pi:11.5f} "
             f"{4.0 * math.exp(-r):11.5f} {windowed_modulation(SqueezeState(r)):11.6f}"

@@ -60,7 +60,6 @@ from .oracle_quadrature import (
 from .single_mode import (
     CoherenceResult,
     EmissionWindow,
-    PhaseFunctionParams,
     UnitaritySplit,
     coherence_shift,
     emission_window,
@@ -96,7 +95,6 @@ __all__ = [
     "EmptySpaceScenario",
     "FINE_STRUCTURE",
     "ModeSpec",
-    "PhaseFunctionParams",
     "QuadratureConfig",
     "RangeError",
     "SQUEEZE_CAP",

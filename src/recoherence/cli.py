@@ -55,7 +55,6 @@ from .multimode_band import (
 )
 from .oracle_quadrature import QuadratureConfig, quad_coherence_shift
 from .single_mode import (
-    PhaseFunctionParams,
     coherence_shift,
     emission_window,
     max_recoherence,
@@ -384,14 +383,13 @@ def _warn_relativistic(traj: Trajectory) -> None:
         )
 
 
-def _mode_from(values: dict) -> ModeSpec:
-    """Mode of frequency omega-bar-T in the volume (2*pi/omega)^3 / lambda3-over-V.
+def _mode_from(omega: float, ratio: float) -> ModeSpec:
+    """Mode of frequency omega-bar-T (T = 1) in the volume
+    (2*pi/omega)^3 / lambda3-over-V.
 
     Raises RangeError when that volume leaves double precision (overflows
     or underflows to 0), so sweeps keep the point as a range_error row.
     """
-    omega = values["omega-bar-T"]  # T = 1 internally
-    ratio = values["lambda3-over-V"]
     try:
         volume = (2.0 * math.pi / omega) ** 3 / ratio
     except OverflowError:
@@ -405,12 +403,23 @@ def _mode_from(values: dict) -> ModeSpec:
     return ModeSpec(omega=omega, volume=volume)
 
 
+def _emission_time(t0_omega: float, omega: float) -> float:
+    """t0-omega / omega-bar-T; RangeError (a sweep's range_error row) when a
+    finite t0-omega gives a t0 outside double precision."""
+    t0 = t0_omega / omega
+    if math.isfinite(t0_omega) and not math.isfinite(t0):
+        raise RangeError(
+            f"t0-omega={t0_omega!r} over omega-bar-T={omega!r} gives an "
+            "emission time outside double precision"
+        )
+    return t0
+
+
 def _run_single_mode(v: dict, output: str | None) -> int:
     state = SqueezeState(v["r"], v["theta"])
-    mode = _mode_from(v)
+    mode = _mode_from(v["omega-bar-T"], v["lambda3-over-V"])
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
     _warn_relativistic(traj)
-    params = PhaseFunctionParams.from_mode(mode, state)
     n = v["t0-grid"]
     period = math.pi / mode.omega
     rows = []
@@ -418,10 +427,10 @@ def _run_single_mode(v: dict, output: str | None) -> int:
         t0 = k * period / n
         result = coherence_shift(state, mode, traj, t0)
         rows.append(
-            (t0, modulation(state, params, t0), result.value, result.contrast_factor)
+            (t0, modulation(state, mode, t0), result.value, result.contrast_factor)
         )
     _write_table(("t0", "g", "w_r", "contrast_factor"), rows, output)
-    window = emission_window(state, params)
+    window = emission_window(state, mode)
     split = unitarity_sum(mode, traj)
     print(
         f"window: start={window.start!r} end={window.end!r} "
@@ -448,7 +457,7 @@ def _run_band(v: dict, output: str | None) -> int:
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
     _warn_relativistic(traj)
     quad = _quad_config(v)
-    t0 = v["t0-omega"] / omega
+    t0 = _emission_time(v["t0-omega"], omega)
     # t0-resolved first, so a bad t0 fails before the leading-order warnings
     t0_exact = band_coherence_shift_exact(
         state, band, traj, window_averaged=False, t0=t0, cfg=quad
@@ -476,7 +485,7 @@ def _run_oracle(v: dict, output: str | None) -> int:
     rows = []
     worst = (-1.0, None)
     for omega in omegas:
-        mode = ModeSpec(omega=omega, volume=(2.0 * math.pi / omega) ** 3)
+        mode = _mode_from(omega, 1.0)
         for r in squeezes:
             state = SqueezeState(r, 0.0)
             for k in range(n_t0):
@@ -560,20 +569,19 @@ def sweep(values: dict, output: str | None) -> int:
         )
         try:
             state = SqueezeState(point["r"], point["theta"])
-            mode = _mode_from(point)
+            mode = _mode_from(point["omega-bar-T"], point["lambda3-over-V"])
             traj = Trajectory(apex=point["ratio-RT"], half_time=1.0)
             if traj.is_relativistic and not warned:
                 _warn_relativistic(traj)
                 warned = True
-            params = PhaseFunctionParams.from_mode(mode, state)
-            t0 = point["t0-omega"] / mode.omega
+            t0 = _emission_time(point["t0-omega"], mode.omega)
             result = coherence_shift(state, mode, traj, t0)
-            window = emission_window(state, params)
+            window = emission_window(state, mode)
             split = unitarity_sum(mode, traj)
             rows.append(
                 base
                 + (
-                    modulation(state, params, t0),
+                    modulation(state, mode, t0),
                     result.value,
                     result.contrast_factor,
                     window.width,

@@ -30,10 +30,10 @@ import numpy as np
 from .errors import DomainError, RangeError, _count_input
 from .errors import _finite_input, _finite_result
 from .oracle_quadrature import QuadratureConfig, integrate_oscillatory
-from .single_mode import _mode_shift
+from .single_mode import _mode_shift, _modulation
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import phase_weight, windowed_phase_weight
+from ._special import windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
@@ -129,7 +129,7 @@ def band_coherence_shift_exact(
         shift = _mode_shift(omega, _cell_volume(band.solid_angle, omega, 1.0), traj)
         if window_averaged:
             return g_avg * shift
-        return phase_weight(state.r, 2.0 * omega * t0 - state.theta) * shift
+        return _modulation(state, omega, t0) * shift
 
     span = traj.half_time if window_averaged else traj.half_time + abs(t0)
     lo, hi = band.edges
@@ -193,7 +193,7 @@ def mode_sum_oracle(
     cell = 2.0 * band.half_width / n
     omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
     shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
-    shifts *= phase_weight(state.r, 2.0 * omegas * t0 - state.theta)
+    shifts *= _modulation(state, omegas, t0)
     return _finite_result(float(np.sum(shifts)), "mode sum")
 
 

@@ -18,12 +18,12 @@ with t0 the emission (loop start) time and two cleanly separated factors:
 
 * ``g`` carries the entire squeeze and timing dependence,
 
-      g(r, t0) = eta * (mu*cos(offset + rate*t0) + eta),
+      g(r, t0) = eta * (mu*cos(2*omega*t0 - theta) + eta),
 
-  with mu = cosh r, eta = sinh r, rate = 2*omega and offset = -theta.
+  with mu = cosh r and eta = sinh r.
 
 Because mu > eta, g dips negative on a window of emission times of width
-(2/rate)*arccos(tanh r): electrons launched inside that window *gain*
+arccos(tanh r)/omega: electrons launched inside that window *gain*
 contrast relative to the vacuum (W_R > 0, recoherence).  Averaged over
 its own window g lies in (-1/3, 0), which bounds the attainable windowed
 recoherence by (8*pi*alpha/(3*V*omega))*M; adding the vacuum loss
@@ -37,6 +37,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .constants import FINE_STRUCTURE
 from .errors import _finite_input, _finite_result
@@ -56,35 +58,12 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
-class PhaseFunctionParams:
-    """Linear emission-time phase offset + rate * t0 entering the modulation.
-
-    For a mode of frequency omega and squeeze phase theta the physical
-    convention is rate = 2*omega and offset = -theta; ``from_mode`` builds
-    that.
-    """
-
-    offset: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", _finite_input("phase offset", self.offset))
-        object.__setattr__(
-            self, "rate", _finite_input("phase rate", self.rate, positive=True)
-        )
-
-    @classmethod
-    def from_mode(cls, mode: ModeSpec, state: SqueezeState) -> "PhaseFunctionParams":
-        return cls(offset=-state.theta, rate=2.0 * mode.omega)
-
-
-@dataclass(frozen=True)
 class EmissionWindow:
     """Interval of emission times with negative modulation (recoherence).
 
     ``degenerate`` marks the r = 0 limit, where the modulation vanishes
     identically and the window collapses to its full-width limit
-    pi/rate without strict interior negativity.
+    pi/(2*omega) without strict interior negativity.
     """
 
     start: float
@@ -120,7 +99,7 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     M = (16*R/(omega^4*T^4))^2
         * ((omega^2*T^2 - 3)*sin(omega*T) + 3*omega*T*cos(omega*T))^2,
 
-    evaluated in the cancellation-free form 256*R^2*(j2(omega*T)/(omega*T))^2.
+    evaluated in the cancellation-free form (16*R*j2(omega*T)/(omega*T))^2.
     Depends only on trajectory and frequency, never on the squeeze or the
     emission time; vanishes at the zeros of j2 and opens quadratically,
     M -> (256/225)*R^2*omega^2*T^2, for omega*T -> 0.
@@ -129,12 +108,18 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
 
 
 def _envelope(omega, traj: Trajectory):
-    """M at a scalar or an array of frequencies omega."""
-    # apex * apex, not apex**2: float ** raises OverflowError past 1.3e154;
-    # |j2(x)/x| < 1/8, so M is finite exactly when this coupling is
-    coupling = _finite_result(256.0 * (traj.apex * traj.apex), "mode envelope")
+    """M = (16*R*s)^2, s = j2(omega*T)/(omega*T), at a scalar or an array
+    omega; squared as one amplitude, so only an M past double precision fails."""
     s = j2_over_x(omega * traj.half_time)
-    return coupling * s * s
+    if isinstance(s, float):
+        amplitude = 16.0 * (traj.apex * s)
+        return _finite_result(amplitude * amplitude, "mode envelope")
+    with np.errstate(over="ignore"):  # refused just below
+        s *= traj.apex
+        s *= 16.0
+        s *= s
+    _finite_result(s.max(), "mode envelope")  # M >= 0: its largest decides
+    return s
 
 
 def _mode_shift(omega, volume, traj: Trajectory):
@@ -147,14 +132,19 @@ def _mode_shift(omega, volume, traj: Trajectory):
     return -8.0 * math.pi * FINE_STRUCTURE / (volume * omega) * envelope
 
 
-def modulation(state: SqueezeState, params: PhaseFunctionParams, t0: float) -> float:
-    """Squeeze modulation g = eta*(mu*cos(offset + rate*t0) + eta).
+def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
+    """Squeeze modulation g = eta*(mu*cos(2*omega*t0 - theta) + eta).
 
     Ranges over [modulation_min, modulation_max] as t0 varies; negative
     values mark emission times at which the mode *restores* contrast.
     """
-    t0 = _finite_input("emission time", t0)
-    return phase_weight(state.r, params.offset + params.rate * t0)
+    return _modulation(state, mode.omega, _finite_input("emission time", t0))
+
+
+def _modulation(state: SqueezeState, omega, t0: float):
+    """g at emission time t0 for a scalar or an array omega: the one place
+    the emission phase 2*omega*t0 - theta is written."""
+    return phase_weight(state.r, 2.0 * omega * t0 - state.theta)
 
 
 def modulation_min(state: SqueezeState) -> float:
@@ -177,9 +167,8 @@ def coherence_shift(
     Returns the shift together with its contrast factor e^{W_R}; the shift
     is positive (recoherence) exactly when the modulation is negative.
     """
-    params = PhaseFunctionParams.from_mode(mode, state)
     value = _finite_result(
-        _mode_shift(mode.omega, mode.volume, traj) * modulation(state, params, t0),
+        _mode_shift(mode.omega, mode.volume, traj) * modulation(state, mode, t0),
         "coherence shift",
     )
     contrast = math.exp(value) if value <= _LOG_MAX else math.inf
@@ -204,22 +193,18 @@ def long_time_average(
     )
 
 
-def emission_window(
-    state: SqueezeState, params: PhaseFunctionParams
-) -> EmissionWindow:
+def emission_window(state: SqueezeState, mode: ModeSpec) -> EmissionWindow:
     """Principal interval of emission times with negative modulation.
 
-    The modulation is negative while cos(offset + rate*t0) < -tanh(r),
-    i.e. on a window centred where the phase passes pi, of width
-
-        width = (2/rate) * arccos(tanh r),
-
-    which shrinks from pi/rate at r = 0 like (4/rate)*e^{-r} for large r.
-    At r = 0 the modulation vanishes identically; the full-width window is
-    returned with ``degenerate=True``.
+    The modulation is negative while cos(2*omega*t0 - theta) < -tanh(r),
+    i.e. on a window centred at t0 = (pi + theta)/(2*omega) of width
+    arccos(tanh r)/omega, which shrinks from pi/(2*omega) at r = 0 like
+    (2/omega)*e^{-r} for large r.  At r = 0 the modulation vanishes
+    identically; the full-width window is returned with ``degenerate=True``.
     """
-    half = window_half_angle(state.r) / params.rate
-    centre = (math.pi - params.offset) / params.rate
+    rate = 2.0 * mode.omega
+    half = window_half_angle(state.r) / rate
+    centre = (math.pi + state.theta) / rate
     return EmissionWindow(
         start=centre - half,
         end=centre + half,
@@ -291,7 +276,6 @@ def unitarity_sum(mode: ModeSpec, traj: Trajectory) -> UnitaritySplit:
 
 
 __all__ = [
-    "PhaseFunctionParams",
     "EmissionWindow",
     "CoherenceResult",
     "UnitaritySplit",

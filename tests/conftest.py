@@ -1,4 +1,13 @@
+import os
 import re
+from pathlib import Path
+
+# the CLI tests start child Pythons; they import the package from this
+# checkout too, as the pythonpath setting in pyproject.toml does here
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 # outcome of each numbered acceptance criterion, printed in the summary
 _ACCEPTANCE: dict[int, str] = {}

@@ -35,7 +35,6 @@ from recoherence import (
     unitarity_sum,
     windowed_coherence_shift,
 )
-from recoherence.single_mode import PhaseFunctionParams
 
 OMEGAS = (0.5, 1.0, 3.34, 10.0)
 SQUEEZES = (0.0, 0.5, 1.0, 2.0)
@@ -118,9 +117,10 @@ def test_criterion_05_unitarity_budget():
 
 def test_criterion_06_window_width_limits():
     rate = 2.0 * 3.34
-    shallow = emission_window(SqueezeState(1e-9), PhaseFunctionParams(0.0, rate))
+    mode = ModeSpec(omega=rate / 2.0, volume=1.0)
+    shallow = emission_window(SqueezeState(1e-9), mode)
     assert abs(shallow.width - math.pi / rate) <= 1e-6 * (math.pi / rate)
-    deep = emission_window(SqueezeState(10.0), PhaseFunctionParams(0.0, rate))
+    deep = emission_window(SqueezeState(10.0), mode)
     scaled = deep.width * rate * math.exp(10.0) / 4.0
     assert abs(scaled - 1.0) <= 1e-3
     print(f"ACCEPTANCE 6: PASS (deep-width ratio {scaled:.6f})")

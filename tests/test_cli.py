@@ -239,19 +239,36 @@ def test_relativistic_warning_on_stderr(run_cli):
     assert "exceeds 1" in proc.stderr
 
 
-@pytest.mark.parametrize("edge", ["1e-300", "1e300"])
-def test_sweep_edge_frequency_is_a_range_error_row(capsys, edge):
+@pytest.mark.parametrize(
+    "options,edge",
+    [([], "1e-300"), ([], "1e300"), (["--t0-omega", "1e300"], "1e-10")],
+    ids=["1e-300", "1e300", "t0-omega-1e300"],
+)
+def test_sweep_edge_frequency_is_a_range_error_row(capsys, options, edge):
     # the mode volume (2 pi/omega)^3 overflows at 1e-300 and underflows to
-    # 0 at 1e300; the point stays in the table and the sweep goes on
-    assert cli.main(["sweep", "--vary", "omega-bar-T=1"]) == 0
+    # 0 at 1e300, and t0 = t0-omega/omega-bar-T = 1e310 overflows at 1e-10;
+    # the point stays in the table and the sweep goes on
+    argv = ["sweep", *options, "--vary"]
+    assert cli.main(argv + ["omega-bar-T=1"]) == 0
     plain = capsys.readouterr().out.split("\n")
-    assert cli.main(["sweep", "--vary", f"omega-bar-T={edge},1"]) == 0
-    lines = capsys.readouterr().out.split("\n")
+    assert cli.main(argv + [f"omega-bar-T={edge},1"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.split("\n")
+    assert captured.err == ""
     assert len(lines) == 4 and lines[0] == plain[0] and lines[3] == ""
     cells = lines[1].split(",")
     assert float(cells[2]) == float(edge) and cells[-1] == "range_error"
     assert all(math.isnan(float(cell)) for cell in cells[6:-1])
     assert lines[2] == plain[1]
+
+
+def test_band_emission_time_overflow_exits_one(capsys):
+    argv = ["band", "--t0-omega", "1e300", "--omega-bar-T", "1e-10"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("recoherence: error: t0-omega=1e+300")
 
 
 @pytest.mark.parametrize("edge", ["1e-300", "1e300"])
@@ -277,7 +294,6 @@ def test_band_edge_frequency_exits_one(capsys):
         ["band", "--ratio-RT", "1e160"],
         ["estimate", "cavity", "--ratio-RT", "1e160"],
         ["estimate", "empty-space", "--ratio-RT", "1e160"],
-        ["estimate", "cavity", "--R-over-lambda", "1e200"],
         ["estimate", "empty-space", "--solid-angle", "1e300", "--ratio-RT", "1e6"],
         ["estimate", "cavity", "--lambda3-over-V", "1e300", "--ratio-RT", "1e10"],
     ],
@@ -306,13 +322,34 @@ def test_band_at_tiny_frequency_rounds_to_zero(run_cli):
         assert float(cells[name]) == 0.0
 
 
-def test_cavity_estimate_underflows_to_zero(run_cli):
-    # flight phase 2 pi * 1e200: both ceilings round to 0, nothing overflows
-    proc = run_cli("estimate", "cavity", "--ratio-RT", "1e-200")
+def _assert_cavity_ceilings_zero(proc):
     assert proc.returncode == 0
     header, row = proc.stdout.strip().split("\n")
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["averaged"]) == 0.0 and float(cells["exact"]) == 0.0
+
+
+def test_cavity_estimate_at_tall_apex_rounds_to_zero(run_cli):
+    # an apex 1e200 wavelengths high: the envelope stays finite, both
+    # ceilings round to 0 and nothing overflows
+    _assert_cavity_ceilings_zero(
+        run_cli("estimate", "cavity", "--R-over-lambda", "1e200")
+    )
+
+
+def test_cavity_estimate_underflows_to_zero(run_cli):
+    # flight phase 2 pi * 1e200: both ceilings round to 0, nothing overflows
+    _assert_cavity_ceilings_zero(
+        run_cli("estimate", "cavity", "--ratio-RT", "1e-200")
+    )
+    # R = 1e153 squares past double precision, the envelope M does not: the
+    # estimate is a subnormal, which carries only about nine digits (value
+    # from 400-digit mpmath at the same double inputs)
+    proc = run_cli("estimate", "empty-space", "--omega-bar-T", "1e154")
+    assert proc.returncode == 0
+    estimate = float(proc.stdout.strip().split("\n")[1].split(",")[-1])
+    assert 0.0 < estimate < sys.float_info.min
+    assert math.isclose(estimate, 1.0248074654519e-314, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize(

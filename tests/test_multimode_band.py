@@ -25,8 +25,8 @@ WINDOWED_LEADING = 1.0182873221274423e-06
 T0_RESOLVED_AT_03 = -2.2337918238083988e-06
 
 
-def _setup():
-    state = SqueezeState(1.0)
+def _setup(theta=0.0):
+    state = SqueezeState(1.0, theta)
     band = BandSpec(center=3.34, half_width=0.334, solid_angle=0.1)
     traj = Trajectory(apex=0.1, half_time=1.0)
     return state, band, traj
@@ -74,29 +74,36 @@ def test_leading_error_shrinks_quadratically():
 
 
 def test_mode_sum_converges_to_continuum():
-    state, band, traj = _setup()
-    target = band_coherence_shift_exact(state, band, traj, window_averaged=False, t0=0.3)
-    errors = {
-        n: abs(mode_sum_oracle(state, band, traj, n, 0.3) - target) / abs(target)
-        for n in (1, 16, 64, 256)
-    }
-    assert errors[1] < 0.05
-    assert errors[16] < 1e-4
-    assert errors[64] < 1e-5
-    assert errors[256] < 1e-6
-    assert errors[16] > errors[64] > errors[256]
+    for theta in (0.0, 0.7):
+        state, band, traj = _setup(theta)
+        target = band_coherence_shift_exact(
+            state, band, traj, window_averaged=False, t0=0.3
+        )
+        errors = {
+            n: abs(mode_sum_oracle(state, band, traj, n, 0.3) - target) / abs(target)
+            for n in (1, 16, 64, 256)
+        }
+        assert errors[1] < 0.05
+        assert errors[16] < 1e-4
+        assert errors[64] < 1e-5
+        assert errors[256] < 1e-6
+        assert errors[16] > errors[64] > errors[256]
 
 
 def test_single_mode_limit_of_the_mode_sum():
     # one midpoint cell is the single-mode shift with the matched volume
-    state, band, traj = _setup()
-    cell_inverse_volume = (
-        band.solid_angle / (2.0 * math.pi) ** 3 * band.center**2 * (2.0 * band.half_width)
-    )
-    mode = ModeSpec(omega=band.center, volume=1.0 / cell_inverse_volume)
-    one = mode_sum_oracle(state, band, traj, 1, 0.3)
-    single = coherence_shift(state, mode, traj, 0.3).value
-    assert math.isclose(one, single, rel_tol=1e-12)
+    for theta in (0.0, 0.7):
+        state, band, traj = _setup(theta)
+        cell_inverse_volume = (
+            band.solid_angle
+            / (2.0 * math.pi) ** 3
+            * band.center**2
+            * (2.0 * band.half_width)
+        )
+        mode = ModeSpec(omega=band.center, volume=1.0 / cell_inverse_volume)
+        one = mode_sum_oracle(state, band, traj, 1, 0.3)
+        single = coherence_shift(state, mode, traj, 0.3).value
+        assert math.isclose(one, single, rel_tol=1e-12)
 
 
 def test_t0_resolved_tracks_the_modulation_sign():

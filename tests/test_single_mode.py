@@ -4,9 +4,7 @@ import pytest
 
 from recoherence import (
     CoherenceResult,
-    DomainError,
     ModeSpec,
-    PhaseFunctionParams,
     RangeError,
     SqueezeState,
     Trajectory,
@@ -91,9 +89,9 @@ def test_mode_envelope_vanishes_at_bessel_zero():
 
 def test_modulation_extremes():
     state = SqueezeState(1.0)
-    params = PhaseFunctionParams(offset=0.0, rate=2.0)
-    g0 = modulation(state, params, 0.0)
-    gpi = modulation(state, params, math.pi / 2.0)  # phase = pi at rate 2
+    unit = ModeSpec(omega=1.0, volume=1.0)
+    g0 = modulation(state, unit, 0.0)
+    gpi = modulation(state, unit, math.pi / 2.0)  # phase = pi at omega = 1
     assert math.isclose(g0, modulation_max(state), rel_tol=1e-14)
     assert math.isclose(gpi, modulation_min(state), rel_tol=1e-14)
     assert math.isclose(modulation_max(state), 0.5 * math.expm1(2.0), rel_tol=1e-14)
@@ -156,8 +154,8 @@ def test_windowed_modulation_monotone_in_r():
 
 def test_emission_window_geometry():
     state = SqueezeState(1.0)
-    params = PhaseFunctionParams(offset=0.0, rate=2.0)
-    window = emission_window(state, params)
+    unit = ModeSpec(omega=1.0, volume=1.0)
+    window = emission_window(state, unit)
     assert math.isclose(window.width, WINDOW_WIDTH_R1_RATE2, rel_tol=1e-13)
     centre = 0.5 * (window.start + window.end)
     assert math.isclose(centre, math.pi / 2.0, rel_tol=1e-13)  # phase pi at rate 2
@@ -166,26 +164,26 @@ def test_emission_window_geometry():
 
 def test_emission_window_sign_structure():
     state = SqueezeState(1.0)
-    params = PhaseFunctionParams(offset=0.0, rate=2.0)
-    window = emission_window(state, params)
+    unit = ModeSpec(omega=1.0, volume=1.0)
+    window = emission_window(state, unit)
     centre = 0.5 * (window.start + window.end)
-    assert modulation(state, params, centre) < 0.0
-    assert modulation(state, params, window.start - 0.05) > 0.0
-    assert modulation(state, params, window.end + 0.05) > 0.0
+    assert modulation(state, unit, centre) < 0.0
+    assert modulation(state, unit, window.start - 0.05) > 0.0
+    assert modulation(state, unit, window.end + 0.05) > 0.0
     # the edges sit where the modulation changes sign
-    assert abs(modulation(state, params, window.start)) < 1e-12
+    assert abs(modulation(state, unit, window.start)) < 1e-12
 
 
 def test_emission_window_degenerate_at_zero_squeeze():
-    window = emission_window(SqueezeState(0.0), PhaseFunctionParams(0.0, 2.0))
+    window = emission_window(SqueezeState(0.0), ModeSpec(omega=1.0, volume=1.0))
     assert window.degenerate
     assert math.isclose(window.width, math.pi / 2.0, rel_tol=1e-14)
 
 
 def test_emission_window_offset_moves_the_centre():
-    state = SqueezeState(1.0)
-    shifted = emission_window(state, PhaseFunctionParams(offset=-0.7, rate=2.0))
-    base = emission_window(state, PhaseFunctionParams(offset=0.0, rate=2.0))
+    unit = ModeSpec(omega=1.0, volume=1.0)
+    shifted = emission_window(SqueezeState(1.0, 0.7), unit)
+    base = emission_window(SqueezeState(1.0), unit)
     assert math.isclose(shifted.width, base.width, rel_tol=1e-14)
     assert math.isclose(shifted.start - base.start, 0.35, rel_tol=1e-12)
 
@@ -234,20 +232,6 @@ def test_unitarity_pointwise():
         t0 = k * math.pi / (mode.omega * 16)
         combined = split.vacuum + coherence_shift(state, mode, traj, t0).value
         assert combined < 0.0
-
-
-def test_params_from_mode():
-    state, mode, _ = _setup(1.0, 0.7)
-    params = PhaseFunctionParams.from_mode(mode, state)
-    assert params.rate == 2.0 * mode.omega
-    assert params.offset == -0.7
-
-
-def test_bad_phase_params():
-    with pytest.raises(DomainError):
-        PhaseFunctionParams(offset=0.0, rate=0.0)
-    with pytest.raises(DomainError):
-        PhaseFunctionParams(offset=float("nan"), rate=1.0)
 
 
 def test_overflow_is_a_range_error():
