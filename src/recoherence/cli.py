@@ -31,14 +31,18 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import math
+import operator
 import sys
 import warnings
+from argparse import ArgumentTypeError
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RangeError, _finite_input
+from .errors import ConvergenceError, DomainError, RangeError, _representable
 from .estimates import (
     CavityScenario,
     EmptySpaceScenario,
@@ -68,100 +72,148 @@ from .trajectory import Trajectory
 
 
 class ConfigError(ValueError):
-    """A flag or config-file value that cannot be used."""
+    """A usage error, or a flag or config-file value that cannot be used."""
+
+
+class _Rule(NamedTuple):
+    """A type and the check ``ok``; ``text`` completes "<option> must ..." errors."""
+
+    typ: type
+    ok: Callable = lambda value: True
+    text: str = ""
+
+
+_NUMBER = _Rule(float, text="be a number")
+_INTEGER = _Rule(int, text="be an integer")
+# _mode_from divides by these before a ModeSpec exists
+_POSITIVE = _Rule(float, lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+# EmptySpaceScenario only warns about a band this wide
+_FRACTION = _Rule(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+
+
+def _count(cap: int) -> _Rule:
+    """A count refused above ``cap`` before anything of that size exists."""
+    return _Rule(int, lambda v: 1 <= v <= cap, f"be an integer in [1, {cap}]")
+
+
+def _one_of(*names: str) -> _Rule:
+    return _Rule(str, names.__contains__, f"be one of {', '.join(names)}")
+
+
+def _convert(key: str, rule: _Rule, raw):
+    """Option ``key`` as its type; ArgumentTypeError unless ``rule`` holds.
+    Flags, config keys and --vary values all come through here."""
+    try:
+        value = rule.typ(raw)
+    except ValueError:
+        value = None
+    if value is None or not rule.ok(value):
+        raise ArgumentTypeError(
+            f"{key} must {rule.text}, got {raw if value is None else value!r}"
+        )
+    return value
 
 
 #: worst acceptable closed-form vs quadrature relative error for `oracle`
 _ORACLE_TOL = 1e-6
 
-_QUAD_OPTIONS = {
-    "nodes-per-period": (int, 32, "Gauss-Legendre nodes per oscillation period"),
-    "rel-tol": (float, 1e-8, "relative tolerance of the refinement check"),
-    "abs-tol": (float, 1e-14, "absolute tolerance floor of the refinement check"),
-}
-
-_STATE_OPTIONS = {
-    "r": (float, 1.0, "squeeze parameter"),
-    "theta": (float, 0.0, "squeeze phase in radians"),
-    "omega-bar-T": (float, 3.34, "mode (or band centre) frequency times T"),
-    "ratio-RT": (float, 0.1, "trajectory apex over half time, R/T"),
-}
-
-_OPTIONS: dict[str, dict[str, tuple]] = {
-    "single-mode": {
-        **_STATE_OPTIONS,
-        "lambda3-over-V": (float, 1.0, "mode wavelength cubed over volume"),
-        "t0-grid": (int, 32, "emission times spanning one modulation period"),
-    },
-    "band": {
-        **_STATE_OPTIONS,
-        "delta-omega-ratio": (float, 0.1, "band half-width over band centre"),
-        "solid-angle": (float, 0.1, "beam solid angle in steradians"),
-        "t0-omega": (float, 0.0, "emission time times band-centre frequency"),
-        "n-modes": (int, 64, "modes in the discrete mode-sum oracle"),
-        **_QUAD_OPTIONS,
-    },
-    "oracle": {
-        "grid": (str, "default", "grid name: default or quick"),
-        "ratio-RT": (float, 0.1, "trajectory apex over half time, R/T"),
-        **_QUAD_OPTIONS,
-    },
-    "estimate": {
-        "kind": (str, "cavity", "scenario: cavity or empty-space"),
-        "ratio-RT": (float, 0.1, "trajectory apex over half time, R/T"),
-        "lambda3-over-V": (float, 1.0, "cavity: wavelength cubed over volume"),
-        "R-over-lambda": (float, 1.0, "cavity: apex over wavelength"),
-        "delta-omega-ratio": (float, 0.1, "empty-space: fractional half-width"),
-        "solid-angle": (float, 0.1, "empty-space: beam solid angle"),
-        "omega-bar-T": (float, 3.34, "empty-space: flight phase omega*T"),
-    },
-    "sweep": {
-        **_STATE_OPTIONS,
-        "lambda3-over-V": (float, 1.0, "mode wavelength cubed over volume"),
-        "t0-omega": (float, 0.0, "emission time times mode frequency"),
-    },
-}
+#: most rows of a single-mode table or a sweep, and most values of one axis
+_MAX_ROWS = 10**6
 
 _GRIDS = {
     "default": ((0.5, 1.0, 3.34, 10.0), (0.0, 0.5, 1.0, 2.0), 8),
     "quick": ((1.0, 3.34), (0.0, 1.0), 4),
 }
 
-_SWEEP_AXES = ("r", "theta", "omega-bar-T", "ratio-RT", "lambda3-over-V", "t0-omega")
+_QUAD_OPTIONS = {
+    "nodes-per-period": (_INTEGER, 32, "Gauss-Legendre nodes per oscillation period"),
+    "rel-tol": (_NUMBER, 1e-8, "relative tolerance of the refinement check"),
+    "abs-tol": (_NUMBER, 1e-14, "absolute tolerance floor of the refinement check"),
+}
+
+_STATE_OPTIONS = {
+    "r": (_NUMBER, 1.0, "squeeze parameter"),
+    "theta": (_NUMBER, 0.0, "squeeze phase in radians"),
+    "omega-bar-T": (_POSITIVE, 3.34, "mode (or band centre) frequency times T"),
+    "ratio-RT": (_NUMBER, 0.1, "trajectory apex over half time, R/T"),
+}
+
+#: option -> (rule, default, help) of each subcommand; ``kind`` is positional
+_OPTIONS: dict[str, dict[str, tuple]] = {
+    "single-mode": {
+        **_STATE_OPTIONS,
+        "lambda3-over-V": (_POSITIVE, 1.0, "mode wavelength cubed over volume"),
+        "t0-grid": (
+            _count(_MAX_ROWS), 32, "emission times spanning one modulation period"
+        ),
+    },
+    "band": {
+        **_STATE_OPTIONS,
+        "delta-omega-ratio": (_FRACTION, 0.1, "band half-width over band centre"),
+        "solid-angle": (_NUMBER, 0.1, "beam solid angle in steradians"),
+        "t0-omega": (_NUMBER, 0.0, "emission time times band-centre frequency"),
+        "n-modes": (_count(MAX_MODES), 64, "modes in the discrete mode-sum oracle"),
+        **_QUAD_OPTIONS,
+    },
+    "oracle": {
+        "grid": (_one_of(*_GRIDS), "default", "grid name: default or quick"),
+        "ratio-RT": (_NUMBER, 0.1, "trajectory apex over half time, R/T"),
+        **_QUAD_OPTIONS,
+    },
+    "estimate": {
+        "kind": (
+            _one_of("cavity", "empty-space"), "cavity", "cavity or empty-space scenario"
+        ),
+        "ratio-RT": (_NUMBER, 0.1, "trajectory apex over half time, R/T"),
+        "lambda3-over-V": (_POSITIVE, 1.0, "cavity: wavelength cubed over volume"),
+        "R-over-lambda": (_NUMBER, 1.0, "cavity: apex over wavelength"),
+        "delta-omega-ratio": (_FRACTION, 0.1, "empty-space: fractional half-width"),
+        "solid-angle": (_NUMBER, 0.1, "empty-space: beam solid angle"),
+        "omega-bar-T": (_POSITIVE, 3.34, "empty-space: flight phase omega*T"),
+    },
+    "sweep": {
+        **_STATE_OPTIONS,
+        "lambda3-over-V": (_POSITIVE, 1.0, "mode wavelength cubed over volume"),
+        "t0-omega": (_NUMBER, 0.0, "emission time times mode frequency"),
+    },
+}
+
 _MAX_AXES = 3
 
-#: most rows of a single-mode table or a sweep, and most values of one axis
-_MAX_ROWS = 10**6
-
-#: upper limits of the count options
-_COUNT_CAPS = {"t0-grid": _MAX_ROWS, "n-modes": MAX_MODES}
-
-_SWEEP_HEADER = (
-    "r",
-    "theta",
-    "omega_bar_T",
-    "ratio_RT",
-    "lambda3_over_V",
-    "t0_omega",
-    "g",
-    "w_r",
-    "contrast_factor",
-    "window_width",
-    "g_avg",
-    "w_r_avg",
-    "w_r_max",
-    "w_total",
-    "status",
+#: every sweep option is an axis and, in table order, an input column
+_SWEEP_HEADER = tuple(key.replace("-", "_") for key in _OPTIONS["sweep"]) + (
+    "g", "w_r", "contrast_factor", "window_width",
+    "g_avg", "w_r_avg", "w_r_max", "w_total", "status",
 )
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; keep 2 reserved for non-convergence
+    # a usage error returns 1 through main(), not argparse's exit 2 (non-convergence)
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
+    """argparse type of --vary: NAME=v1,v2,... or NAME=START:STOP:COUNT,
+    every value through NAME's own rule."""
+    name, sep, rest = (part.strip() for part in spec.partition("="))
+    if not sep or not rest:
+        raise ArgumentTypeError(f"expected NAME=VALUES, got {spec!r}")
+    table = _OPTIONS["sweep"]
+    if name not in table:
+        raise ArgumentTypeError(f"axis {name!r} is not one of: {', '.join(table)}")
+    raw = rest.split(",")
+    if ":" in rest:
+        bounds = rest.split(":")
+        if len(bounds) != 3:
+            raise ArgumentTypeError(f"{name} expects START:STOP:COUNT, got {rest!r}")
+        start, stop = (_convert(name, _NUMBER, bound) for bound in bounds[:2])
+        raw = np.linspace(start, stop, _convert("COUNT", _count(_MAX_ROWS), bounds[2]))
+    return name, tuple(_convert(name, table[name][0], value) for value in raw)
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and, by name, its subcommand parsers."""
     parser = _Parser(
         prog="recoherence",
         description="Coherence shifts of a driven charge in squeezed vacuum.",
@@ -169,49 +221,40 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for command, table in _OPTIONS.items():
         p = sub.add_parser(command, description=f"Run the {command} calculation.")
-        for key, (typ, default, help_text) in table.items():
-            if command == "estimate" and key == "kind":
-                continue
+        for key, (rule, default, help_text) in table.items():
+            positional = key == "kind"  # `estimate cavity`
             p.add_argument(
-                f"--{key}",
-                type=typ,
-                default=None,
-                dest=key.replace("-", "_"),
-                help=f"{help_text} (default: {default})",
-            )
-        if command == "estimate":
-            p.add_argument(
-                "kind",
-                nargs="?",
-                choices=("cavity", "empty-space"),
-                default=None,
-                help="scenario to estimate (default: cavity)",
+                key if positional else f"--{key}",
+                nargs="?" if positional else None,
+                type=functools.partial(_convert, key, rule),
+                default=default,
+                help=f"{help_text} (default: %(default)s)",
             )
         if command == "sweep":
             p.add_argument(
                 "--vary",
                 action="append",
-                default=None,
+                type=_parse_axis,
                 metavar="NAME=VALUES",
                 help="axis to sweep: NAME=v1,v2,... or NAME=START:STOP:COUNT; "
                 "repeat for up to three axes (row-major order)",
             )
         p.add_argument(
             "--config",
-            default=None,
             metavar="PATH",
             help=f"INI file whose [{command}] section supplies defaults",
         )
         p.add_argument(
             "--output",
-            default=None,
             metavar="PATH",
             help="write the CSV table here instead of stdout",
         )
-    return parser
+    return parser, sub.choices
 
 
-def _load_config_section(path: str, command: str, table: dict) -> dict:
+def _load_config_section(path: str, command: str) -> dict:
+    """The [command] section of ``path``, each key through its option's
+    rule, keyed by argparse destination; sweep axes under "vary"."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep the case of omega-bar-T etc.
     try:
@@ -223,109 +266,38 @@ def _load_config_section(path: str, command: str, table: dict) -> dict:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not parser.has_section(command):
         raise ConfigError(f"config file {path} has no [{command}] section")
+    table = _OPTIONS[command]
     loaded: dict = {}
     for key, raw in parser.items(command):
-        if command == "sweep" and key == "vary":
-            loaded["vary"] = [part.strip() for part in raw.split(";") if part.strip()]
-            continue
-        if key not in table:
-            raise ConfigError(f"config section [{command}]: unknown key {key!r}")
-        typ = table[key][0]
         try:
-            loaded[key] = typ(raw)
-        except ValueError as exc:
+            if command == "sweep" and key == "vary":
+                loaded["vary"] = [_parse_axis(s) for s in raw.split(";") if s.strip()]
+            elif key in table:
+                loaded[key.replace("-", "_")] = _convert(key, table[key][0], raw)
+            else:
+                raise ConfigError(f"config section [{command}]: unknown key {key!r}")
+        except ArgumentTypeError as exc:
             raise ConfigError(
-                f"config section [{command}], key {key!r}: cannot parse "
-                f"{raw!r} as {typ.__name__}"
+                f"config section [{command}], key {key!r}: {exc}"
             ) from exc
     return loaded
 
 
-def _check_value(key: str, value) -> None:
-    """The checks no constructor can make; every other value is checked
-    by the constructor or function it reaches."""
-    if key in ("omega-bar-T", "lambda3-over-V"):
-        # _mode_from divides by both before a ModeSpec exists
-        _finite_input(key, value, positive=True)
-    elif key == "delta-omega-ratio":
-        # EmptySpaceScenario only warns about a band this wide
-        if not (math.isfinite(value) and 0.0 < value < 1.0):
-            raise ConfigError(f"{key} must lie in (0, 1), got {value!r}")
-    elif key in _COUNT_CAPS:
-        # refused before anything of that size is allocated
-        if not 1 <= value <= _COUNT_CAPS[key]:
-            raise ConfigError(
-                f"{key} must lie in [1, {_COUNT_CAPS[key]}], got {value!r}"
-            )
-    elif key == "grid":
-        if value not in _GRIDS:
-            raise ConfigError(
-                f"grid must be one of {', '.join(sorted(_GRIDS))}, got {value!r}"
-            )
-    elif key == "kind":
-        if value not in ("cavity", "empty-space"):
-            raise ConfigError(f"kind must be cavity or empty-space, got {value!r}")
-
-
-def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
-    name, sep, rest = spec.partition("=")
-    name, rest = name.strip(), rest.strip()
-    if not sep or not rest:
-        raise ConfigError(f"--vary expects NAME=VALUES, got {spec!r}")
-    if name not in _SWEEP_AXES:
-        raise ConfigError(
-            f"--vary axis {name!r} is not one of: {', '.join(_SWEEP_AXES)}"
-        )
-    try:
-        if ":" in rest:
-            parts = rest.split(":")
-            if len(parts) != 3:
-                raise ValueError("expected START:STOP:COUNT")
-            count = int(parts[2])
-            if not 1 <= count <= _MAX_ROWS:
-                raise ValueError(f"COUNT must lie in [1, {_MAX_ROWS}]")
-            values = tuple(
-                float(v) for v in np.linspace(float(parts[0]), float(parts[1]), count)
-            )
-        else:
-            values = tuple(float(v) for v in rest.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--vary {name}: bad values {rest!r}: {exc}") from exc
-    for value in values:
-        _check_value(name, value)
-    return name, values
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then the flags; sweep axes under "vary"."""
-    command = args.command
-    table = _OPTIONS[command]
-    values = {key: default for key, (_, default, _) in table.items()}
-    vary_specs: list[str] = []
+def _parse(argv: list[str] | None) -> tuple[str, dict, str | None]:
+    """Command, option values and output path: each value from its flag,
+    else the config file, else the table default."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    axes = []
     if args.config is not None:
-        loaded = _load_config_section(args.config, command, table)
-        vary_specs = loaded.pop("vary", [])
-        values.update(loaded)
-    for key in table:
-        given = getattr(args, key.replace("-", "_"), None)
-        if given is not None:
-            values[key] = given
-    for key, value in values.items():
-        _check_value(key, value)
-    if command == "sweep":
-        if args.vary:
-            vary_specs = list(args.vary)  # explicit flags replace config axes
-        axes = tuple(_parse_axis(spec) for spec in vary_specs)
-        if len(axes) > _MAX_AXES:
-            raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(axes)}")
-        names = [name for name, _ in axes]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate --vary axes: {', '.join(names)}")
-        rows = math.prod(len(axis) for _, axis in axes)
-        if rows > _MAX_ROWS:
-            raise ConfigError(f"--vary axes give {rows} rows, above {_MAX_ROWS}")
-        values["vary"] = axes
-    return values
+        loaded = _load_config_section(args.config, args.command)
+        axes = loaded.pop("vary", [])
+        commands[args.command].set_defaults(**loaded)
+        args = parser.parse_args(argv)
+    values = {k: getattr(args, k.replace("-", "_")) for k in _OPTIONS[args.command]}
+    if args.command == "sweep":
+        values["vary"] = args.vary or axes  # explicit flags replace config axes
+    return args.command, values, args.output
 
 
 def _format_cell(value) -> str:
@@ -448,12 +420,13 @@ def _run_single_mode(v: dict, output: str | None) -> int:
 
 def _run_band(v: dict, output: str | None) -> int:
     state = SqueezeState(v["r"], v["theta"])
-    omega = v["omega-bar-T"]
-    band = BandSpec(
-        center=omega,
-        half_width=v["delta-omega-ratio"] * omega,
-        solid_angle=v["solid-angle"],
+    omega, ratio = v["omega-bar-T"], v["delta-omega-ratio"]
+    half_width = _representable(
+        ratio * omega,
+        f"delta-omega-ratio={ratio!r} times omega-bar-T={omega!r} gives a band "
+        "half-width",
     )
+    band = BandSpec(center=omega, half_width=half_width, solid_angle=v["solid-angle"])
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
     _warn_relativistic(traj)
     quad = _quad_config(v)
@@ -552,21 +525,22 @@ def _run_estimate(v: dict, output: str | None) -> int:
 def sweep(values: dict, output: str | None) -> int:
     """Cartesian sweep over the ``vary`` axes, row-major in axis order."""
     names = [name for name, _ in values["vary"]]
+    if len(names) > _MAX_AXES:
+        raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(names)}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate --vary axes: {', '.join(names)}")
+    count = math.prod(len(axis) for _, axis in values["vary"])
+    if count > _MAX_ROWS:
+        raise ConfigError(f"--vary axes give {count} rows, above {_MAX_ROWS}")
     grids = [list(axis) for _, axis in values["vary"]]
+    inputs = operator.itemgetter(*_OPTIONS["sweep"])
     rows = []
     warned = False
     nan = float("nan")
     for combo in itertools.product(*grids):
         point = dict(values)
         point.update(zip(names, combo))
-        base = (
-            point["r"],
-            point["theta"],
-            point["omega-bar-T"],
-            point["ratio-RT"],
-            point["lambda3-over-V"],
-            point["t0-omega"],
-        )
+        base = inputs(point)
         try:
             state = SqueezeState(point["r"], point["theta"])
             mode = _mode_from(point["omega-bar-T"], point["lambda3-over-V"])
@@ -600,18 +574,18 @@ def sweep(values: dict, output: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    runner = {
-        "single-mode": _run_single_mode,
-        "band": _run_band,
-        "oracle": _run_oracle,
-        "estimate": _run_estimate,
-        "sweep": sweep,
-    }[args.command]
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return runner(_resolve(args), args.output)
+            command, values, output = _parse(argv)
+            runner = {
+                "single-mode": _run_single_mode,
+                "band": _run_band,
+                "oracle": _run_oracle,
+                "estimate": _run_estimate,
+                "sweep": sweep,
+            }[command]
+            return runner(values, output)
         except ConfigError as exc:
             print(f"recoherence: config error: {exc}", file=sys.stderr)
             return 1

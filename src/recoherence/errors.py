@@ -40,6 +40,13 @@ def _count_input(name: str, value, low: int, high: float = math.inf) -> int:
     return int(value)
 
 
+def _representable(value: float, what: str) -> float:
+    """``value``, > 0 when exact; RangeError when rounding took it to 0 or inf."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise RangeError(f"{what} = {value!r} outside double precision")
+    return value
+
+
 def _finite_result(value: float, what: str) -> float:
     """``value``; RangeError when it has left double precision."""
     if not math.isfinite(value):

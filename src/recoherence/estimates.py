@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import DomainError, _finite_input, _finite_result
+from .errors import DomainError, _finite_input, _finite_result, _representable
 from .multimode_band import _cell_volume
 from .single_mode import _mode_shift, max_recoherence
 from .squeezed_state import ModeSpec
@@ -108,17 +108,26 @@ class CavityScenario:
         confinement, apex_over_wavelength the excursion scale; the
         wavelength itself only sets overall units.
         """
-        wavelength = float(wavelength)
-        apex = float(apex_over_wavelength) * wavelength
-        ratio_rt = _finite_input("ratio_rt", ratio_rt, positive=True)
-        lambda3_over_volume = _finite_input(
-            "lambda3_over_volume", lambda3_over_volume, positive=True
+        knobs = (ratio_rt, lambda3_over_volume, apex_over_wavelength, wavelength)
+        names = "ratio_rt", "lambda3_over_volume", "apex_over_wavelength", "wavelength"
+        ratio_rt, confinement, excursion, wavelength = (
+            _finite_input(name, value, positive=True)
+            for name, value in zip(names, knobs)
+        )
+        # a derived value that leaves double precision names the knob behind it
+        apex = _representable(
+            excursion * wavelength, f"apex_over_wavelength={excursion!r} gives an apex"
         )
         return cls(
             wavelength=wavelength,
-            volume=wavelength * wavelength * wavelength / lambda3_over_volume,
+            volume=_representable(
+                wavelength * wavelength * wavelength / confinement,
+                f"lambda3_over_volume={confinement!r} gives a volume",
+            ),
             apex=apex,
-            half_time=apex / ratio_rt,
+            half_time=_representable(
+                apex / ratio_rt, f"ratio_rt={ratio_rt!r} gives a half time"
+            ),
         )
 
     @property
@@ -191,10 +200,11 @@ class EmptySpaceScenario:
         for name in ("ratio_rt", "bandwidth_ratio", "solid_angle", "flight_phase"):
             value = _finite_input(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
-        if self.ratio_rt > 1.0:
+        traj = Trajectory(apex=self.ratio_rt, half_time=1.0)
+        if traj.is_relativistic:
             warnings.warn(
-                f"ratio_rt = {self.ratio_rt:g} exceeds 1; the trajectory "
-                "would be superluminal",
+                f"ratio_rt = {self.ratio_rt:g} gives a peak speed "
+                f"{traj.max_speed:.6g} >= 1; the trajectory would be superluminal",
                 stacklevel=2,
             )
         if self.bandwidth_ratio >= 1.0:
@@ -221,9 +231,12 @@ def empty_space_estimate(scenario: EmptySpaceScenario) -> float:
     its deep-squeezing value -1/3.  Units of the band centre (omega = 1,
     T = flight_phase) keep the cell volume within double precision.
     """
-    x = scenario.flight_phase
+    x, ratio_rt = scenario.flight_phase, scenario.ratio_rt
+    apex = _representable(
+        ratio_rt * x, f"flight_phase={x!r} with ratio_rt={ratio_rt!r} gives an apex"
+    )
     volume = _cell_volume(scenario.solid_angle, 1.0, 2.0 * scenario.bandwidth_ratio)
-    shift = _mode_shift(1.0, volume, Trajectory(scenario.ratio_rt * x, x))
+    shift = _mode_shift(1.0, volume, Trajectory(apex, x))
     return _finite_result(-shift / 3.0, "empty-space estimate")
 
 

@@ -51,7 +51,8 @@ class BandSpec:
     center : float
         Band-centre angular frequency; > 0.
     half_width : float
-        Half the band width in angular frequency; 0 < half_width < center.
+        Half the band width in angular frequency; 0 < half_width < center,
+        and wide enough that center +- half_width differ from center.
     solid_angle : float
         Solid angle of the mode beam in steradians.  Treated as small;
         values above a tenth of the full sphere are flagged with a warning
@@ -71,6 +72,11 @@ class BandSpec:
             raise DomainError(
                 f"band half-width must be < center, got {half_width!r} "
                 f"(center {center!r})"
+            )
+        if not center - half_width < center < center + half_width:
+            raise RangeError(
+                f"band half-width {half_width!r} is below the resolution of the "
+                f"center {center!r}: a band edge rounds to the center"
             )
         if solid_angle > 0.4 * math.pi:
             warnings.warn(

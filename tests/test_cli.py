@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -22,10 +23,7 @@ def run_cli(capsys):
 
     def run(*args):
         capsys.readouterr()
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = cli.main(list(args))  # usage errors return 1 too, never exit
         out, err = capsys.readouterr()
         return SimpleNamespace(returncode=code, stdout=out, stderr=err)
 
@@ -196,6 +194,10 @@ def test_sweep_config_vary_axes(run_cli, tmp_path):
     proc = run_cli("sweep", "--config", str(ini))
     assert proc.returncode == 0
     assert len(proc.stdout.strip().split("\n")) == 1 + 3 * 2
+    # explicit --vary flags replace the config's axes rather than add to them
+    proc = run_cli("sweep", "--config", str(ini), "--vary", "theta=0,1")
+    assert proc.returncode == 0
+    assert len(proc.stdout.strip().split("\n")) == 1 + 2
 
 
 def test_unknown_config_key_exits_one(run_cli, tmp_path):
@@ -231,6 +233,62 @@ def test_usage_errors_exit_one(run_cli):
         ).returncode
         == 1
     )
+
+
+_ROUTED = [
+    ("single-mode", "r", "abc", "r must be a number, got 'abc'"),
+    ("single-mode", "omega-bar-T", "0", "omega-bar-T must be finite and > 0, got 0.0"),
+    ("single-mode", "t0-grid", "0",
+     "t0-grid must be an integer in [1, 1000000], got 0"),
+    ("band", "n-modes", "2.5",
+     "n-modes must be an integer in [1, 10000000], got '2.5'"),
+    ("band", "delta-omega-ratio", "1.5",
+     "delta-omega-ratio must lie in (0, 1), got 1.5"),
+    ("oracle", "grid", "huge", "grid must be one of default, quick, got 'huge'"),
+    ("estimate", "kind", "bogus",
+     "kind must be one of cavity, empty-space, got 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,rule", _ROUTED, ids=lambda x: str(x)[:20])
+def test_every_route_applies_the_same_rule(capsys, tmp_path, command, key, value, rule):
+    # a flag, an INI key and, for a sweep axis, a --vary value all go through
+    # the option's one converter: exit 1 and one line naming the same rule
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{key} = {value}\n", encoding="utf-8")
+    name = key if key == "kind" else f"--{key}"  # kind is the one positional
+    flag = [value] if key == "kind" else [name, value]
+    routes = {
+        (command, *flag): f"argument {name}: ",
+        (command, "--config", str(ini)): f"config section [{command}], key {key!r}: ",
+    }
+    if key in cli._OPTIONS["sweep"]:
+        routes["sweep", "--vary", f"{key}={value}"] = "argument --vary: "
+    for argv, context in routes.items():
+        assert cli.main(list(argv)) == 1  # a SystemExit fails the test
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"recoherence: config error: {context}{rule}\n"
+
+
+@pytest.mark.parametrize("command", list(cli._OPTIONS))
+def test_help_lists_every_option_with_its_default(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "recoherence", command, "--help"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    # one entry per option, each starting two spaces in: name, help, default
+    entries = [" ".join(e.split()) for e in re.split(r"\n  (?=\S)", proc.stdout)]
+    defaults = [(e.split()[0], re.search(r"\(default: ([^)]*)\)", e)) for e in entries]
+    listed = [(name, match.group(1)) for name, match in defaults if match]
+    want = [
+        (key if key == "kind" else f"--{key}", str(default))
+        for key, (_, default, _) in cli._OPTIONS[command].items()
+    ]
+    assert sorted(listed) == sorted(want)
 
 
 def test_relativistic_warning_on_stderr(run_cli):
@@ -277,6 +335,29 @@ def test_single_mode_edge_frequency_exits_one(capsys, edge):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("recoherence: error: omega-bar-T=")
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["band", "--omega-bar-T", "5e-324"], ("delta-omega-ratio=", "omega-bar-T=")),
+        (["band", "--delta-omega-ratio", "1e-300"], ("band half-width", "center")),
+        (["estimate", "cavity", "--ratio-RT", "5e-324"], ("ratio_rt=",)),
+        (["estimate", "cavity", "--lambda3-over-V", "5e-324"],
+         ("lambda3_over_volume=",)),
+        (["estimate", "empty-space", "--omega-bar-T", "5e-324"], ("flight_phase=",)),
+    ],
+    ids="_".join,
+)
+def test_derived_value_outside_double_precision_exits_one(run_cli, argv, names):
+    # delta*omega underflows, the band edges round to the centre, half_time
+    # and volume overflow, the empty-space apex underflows: the one error
+    # line names the inputs behind the value
+    proc = run_cli(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("recoherence: error: ")
+    assert all(name in line for name in names)
 
 
 def test_band_edge_frequency_exits_one(capsys):

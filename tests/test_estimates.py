@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ def test_scenario_validation():
         CavityScenario(wavelength=1.0, volume=0.0, apex=0.1, half_time=1.0)
     with pytest.raises(DomainError):
         CavityScenario.from_ratios(-0.1)
+    with pytest.raises(DomainError, match="apex_over_wavelength"):
+        CavityScenario.from_ratios(0.1, apex_over_wavelength=math.nan)
     with pytest.raises(DomainError):
         EmptySpaceScenario(
             ratio_rt=0.1, bandwidth_ratio=0.1, solid_angle=0.1, flight_phase=0.0
@@ -161,3 +164,28 @@ def test_overflow_is_a_range_error():
         )
     with pytest.raises(RangeError):
         empty_space_estimate(empty)
+
+
+def test_derived_values_outside_double_precision_name_the_input():
+    # half_time = apex/ratio_rt and volume = wavelength^3/lambda3_over_volume
+    # overflow, the empty-space apex ratio_rt*flight_phase underflows
+    with pytest.raises(RangeError, match="ratio_rt=5e-324"):
+        CavityScenario.from_ratios(5e-324)
+    with pytest.raises(RangeError, match="lambda3_over_volume=5e-324"):
+        CavityScenario.from_ratios(0.1, lambda3_over_volume=5e-324)
+    empty = EmptySpaceScenario(
+        ratio_rt=0.1, bandwidth_ratio=0.1, solid_angle=0.1, flight_phase=5e-324
+    )
+    with pytest.raises(RangeError, match="flight_phase=5e-324"):
+        empty_space_estimate(empty)
+
+
+@pytest.mark.parametrize("ratio_rt,superluminal", [(0.8, True), (0.6, False)])
+def test_superluminal_warning_follows_the_peak_speed(ratio_rt, superluminal):
+    # the peak speed is 8/(3*sqrt(3)) * R/T: 1.23 at R/T = 0.8, 0.92 at 0.6
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        EmptySpaceScenario(
+            ratio_rt=ratio_rt, bandwidth_ratio=0.1, solid_angle=0.1, flight_phase=3.34
+        )
+    assert any("superluminal" in str(w.message) for w in caught) == superluminal

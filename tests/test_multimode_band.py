@@ -127,6 +127,9 @@ def test_band_validation():
         BandSpec(center=1.0, half_width=1.0, solid_angle=0.1)  # not < center
     with pytest.raises(DomainError):
         BandSpec(center=1.0, half_width=0.1, solid_angle=-0.1)
+    # a half-width below the centre's resolution: the edges round to it
+    with pytest.raises(RangeError, match="rounds to the center"):
+        BandSpec(center=3.34, half_width=3.34e-300, solid_angle=0.1)
 
 
 def test_wide_solid_angle_warns():
