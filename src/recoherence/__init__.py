@@ -32,101 +32,23 @@ the only dimensionful inputs are the trajectory and mode scales, and all
 results are dimensionless contrast exponents.
 """
 
-from .constants import E_SQUARED, FINE_STRUCTURE, SQUEEZE_CAP
-from .errors import ConvergenceError, DomainError, RangeError
-from .estimates import (
-    CavityScenario,
-    EmptySpaceScenario,
-    cavity_estimate,
-    cavity_estimate_exact,
-    coupling_envelope,
-    empty_space_estimate,
-    locate_envelope_max,
-)
-from .multimode_band import (
-    BandSpec,
-    band_coherence_shift_exact,
-    band_coherence_shift_leading,
-    mode_sum_oracle,
-)
-from .oracle_quadrature import (
-    QuadratureConfig,
-    integrate_oscillatory,
-    quad_coherence_shift,
-    quad_coherence_shift_separable,
-    quad_envelope,
-    quad_vacuum_term,
-)
-from .single_mode import (
-    CoherenceResult,
-    EmissionWindow,
-    UnitaritySplit,
-    coherence_shift,
-    emission_window,
-    long_time_average,
-    max_recoherence,
-    mode_envelope,
-    modulation,
-    modulation_max,
-    modulation_min,
-    unitarity_sum,
-    windowed_coherence_shift,
-    windowed_modulation,
-)
-from .squeezed_state import (
-    ModeSpec,
-    SqueezeState,
-    energy_density,
-    mean_photon_number,
-    total_energy,
-)
-from .trajectory import Trajectory
+# each module's __all__ is its public API; the package re-exports all of them
+from .constants import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimates import *  # noqa: F403
+from .multimode_band import *  # noqa: F403
+from .oracle_quadrature import *  # noqa: F403
+from .single_mode import *  # noqa: F403
+from .squeezed_state import *  # noqa: F403
+from .trajectory import *  # noqa: F403
+from . import constants, errors, estimates, multimode_band, oracle_quadrature
+from . import single_mode, squeezed_state, trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandSpec",
-    "CavityScenario",
-    "CoherenceResult",
-    "ConvergenceError",
-    "DomainError",
-    "E_SQUARED",
-    "EmissionWindow",
-    "EmptySpaceScenario",
-    "FINE_STRUCTURE",
-    "ModeSpec",
-    "QuadratureConfig",
-    "RangeError",
-    "SQUEEZE_CAP",
-    "SqueezeState",
-    "Trajectory",
-    "UnitaritySplit",
-    "band_coherence_shift_exact",
-    "band_coherence_shift_leading",
-    "cavity_estimate",
-    "cavity_estimate_exact",
-    "coherence_shift",
-    "coupling_envelope",
-    "emission_window",
-    "empty_space_estimate",
-    "energy_density",
-    "integrate_oscillatory",
-    "locate_envelope_max",
-    "long_time_average",
-    "max_recoherence",
-    "mean_photon_number",
-    "mode_envelope",
-    "mode_sum_oracle",
-    "modulation",
-    "modulation_max",
-    "modulation_min",
-    "quad_coherence_shift",
-    "quad_coherence_shift_separable",
-    "quad_envelope",
-    "quad_vacuum_term",
-    "total_energy",
-    "unitarity_sum",
-    "windowed_coherence_shift",
-    "windowed_modulation",
-    "__version__",
-]
+    name
+    for module in (constants, errors, estimates, multimode_band, oracle_quadrature)
+    + (single_mode, squeezed_state, trajectory)
+    for name in module.__all__
+] + ["__version__"]

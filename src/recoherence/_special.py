@@ -5,8 +5,8 @@ naive forms lose all significant digits either for small arguments
 (the j2 bracket) or for large squeeze magnitudes (window half-angle,
 windowed phase weight).  Each function below uses a cancellation-free
 rewrite that is exact over the full supported range.  Only ``math`` and
-numpy are used: a Python float takes a ``math`` fast path, an array is
-evaluated elementwise in one numpy pass.
+numpy are used: a Python float takes a ``math`` fast path, an array of x or
+of the phase one numpy pass, and ``_each`` maps a kernel of r over an array.
 
 j2(x)/x, with j2 the spherical Bessel function (DLMF 10.49.3, 10.53.1),
 is evaluated in two pieces that meet at ``_J2_SERIES_CUT`` = 2:
@@ -41,6 +41,15 @@ _J2_SERIES = tuple(
     (-1) ** k / (15 * math.prod(2 * j * (2 * j + 5) for j in range(1, k + 1)))
     for k in range(11)
 )
+
+
+def _each(kernel, *args):
+    """``kernel`` at each element of the broadcast arrays ``args`` through its
+    scalar path, so each cell has the scalar bits; a float is passed through."""
+    if isinstance(args[0], (float, int)):
+        return kernel(*args)
+    with np.errstate(all="ignore"):  # a kernel that returns inf warns nothing
+        return np.asarray(np.frompyfunc(kernel, len(args), 1)(*args), dtype=float)
 
 
 def _j2_over_x_series(x):
@@ -117,14 +126,14 @@ def phase_weight(r: float, phase):
 
     because the direct form subtracts two O(e^{2r}) numbers near
     phase = pi and returns garbage already for r > 18.  The rewrite keeps
-    full precision at the minimum for every admissible r.  ``phase`` may
-    be a scalar (float result) or an array (array result, elementwise).
+    full precision at the minimum for every admissible r.  Scalars give a
+    float; arrays of r and of the phase broadcast to an array.
     """
     if isinstance(phase, (float, int)):
         c = math.cos(0.5 * phase)
     else:
         c = np.cos(0.5 * np.asarray(phase, dtype=float))
-    return phase_weight_min(r) + math.sinh(2.0 * r) * c * c
+    return _each(phase_weight_min, r) + _each(lambda x: math.sinh(2.0 * x), r) * c * c
 
 
 def phase_weight_min(r: float) -> float:

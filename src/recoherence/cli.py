@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
-import itertools
 import math
-import operator
 import sys
 import warnings
 from argparse import ArgumentTypeError
@@ -42,6 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .constants import SQUEEZE_CAP
 from .errors import ConvergenceError, DomainError, RangeError, _representable
 from .estimates import (
     CavityScenario,
@@ -59,16 +59,16 @@ from .multimode_band import (
 )
 from .oracle_quadrature import QuadratureConfig, quad_coherence_shift
 from .single_mode import (
+    _table,
     coherence_shift,
     emission_window,
     max_recoherence,
-    modulation,
     unitarity_sum,
     windowed_coherence_shift,
-    windowed_modulation,
 )
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
+from ._special import _each
 
 
 class ConfigError(ValueError):
@@ -179,6 +179,9 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
 }
 
 _MAX_AXES = 3
+
+#: sweep rows formatted and written at a time
+_BLOCK_ROWS = 4096
 
 #: every sweep option is an axis and, in table order, an input column
 _SWEEP_HEADER = tuple(key.replace("-", "_") for key in _OPTIONS["sweep"]) + (
@@ -308,20 +311,22 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _write_table(header: tuple, rows: list, output: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _csv(rows) -> str:
+    return "".join(",".join(map(_format_cell, row)) + "\n" for row in rows)
+
+
+def _write_table(header: tuple, blocks, output: str | None) -> None:
+    """The header line, then each block of CSV lines, to stdout or ``output``."""
+    with contextlib.nullcontext(sys.stdout) if output is None else open(
+        output, "w", encoding="utf-8", newline=""
+    ) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(blocks)
 
 
 def _write_row(row: dict, output: str | None) -> None:
     """One-row table whose header is the keys of ``row``, in order."""
-    _write_table(tuple(row), [tuple(row.values())], output)
+    _write_table(tuple(row), [_csv([row.values()])], output)
 
 
 def _inputs(v: dict, *keys: str) -> dict:
@@ -355,29 +360,27 @@ def _warn_relativistic(traj: Trajectory) -> None:
         )
 
 
-def _mode_from(omega: float, ratio: float) -> ModeSpec:
-    """Mode of frequency omega-bar-T (T = 1) in the volume
-    (2*pi/omega)^3 / lambda3-over-V.
-
-    Raises RangeError when that volume leaves double precision (overflows
-    or underflows to 0), so sweeps keep the point as a range_error row.
-    """
+def _mode_volume(omega: float, ratio: float) -> float:
+    """(2*pi/omega-bar-T)^3 / lambda3-over-V (T = 1); inf when it overflows."""
     try:
-        volume = (2.0 * math.pi / omega) ** 3 / ratio
+        return (2.0 * math.pi / omega) ** 3 / ratio
     except OverflowError:
-        volume = math.inf
-    if not (math.isfinite(volume) and volume > 0.0):
-        raise RangeError(
-            f"omega-bar-T={omega!r} with lambda3-over-V={ratio!r} gives a mode "
-            f"volume (2*pi/omega-bar-T)^3/lambda3-over-V = {volume!r} outside "
-            "double precision"
-        )
+        return math.inf
+
+
+def _mode_from(omega: float, ratio: float) -> ModeSpec:
+    """Mode of frequency omega-bar-T in the volume ``_mode_volume``;
+    RangeError when that volume leaves double precision."""
+    what = f"omega-bar-T={omega!r} with lambda3-over-V={ratio!r} gives a mode volume"
+    volume = _representable(
+        _mode_volume(omega, ratio), f"{what} (2*pi/omega-bar-T)^3/lambda3-over-V"
+    )
     return ModeSpec(omega=omega, volume=volume)
 
 
 def _emission_time(t0_omega: float, omega: float) -> float:
-    """t0-omega / omega-bar-T; RangeError (a sweep's range_error row) when a
-    finite t0-omega gives a t0 outside double precision."""
+    """t0-omega / omega-bar-T; RangeError when a finite t0-omega gives a t0
+    outside double precision."""
     t0 = t0_omega / omega
     if math.isfinite(t0_omega) and not math.isfinite(t0):
         raise RangeError(
@@ -393,15 +396,14 @@ def _run_single_mode(v: dict, output: str | None) -> int:
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
     _warn_relativistic(traj)
     n = v["t0-grid"]
-    period = math.pi / mode.omega
-    rows = []
-    for k in range(n):
-        t0 = k * period / n
-        result = coherence_shift(state, mode, traj, t0)
-        rows.append(
-            (t0, modulation(state, mode, t0), result.value, result.contrast_factor)
-        )
-    _write_table(("t0", "g", "w_r", "contrast_factor"), rows, output)
+    t0 = np.arange(n) * (math.pi / mode.omega) / n
+    cells = _table(state.r, state.theta, mode.omega, mode.volume, traj.apex, t0)
+    refused = ~(np.isfinite(cells["w_r"]) & np.isfinite(cells["contrast_factor"]))
+    if refused.any():  # the scalar path raises this row's RangeError
+        coherence_shift(state, mode, traj, float(t0[refused.argmax()]))
+    header = ("t0", "g", "w_r", "contrast_factor")
+    rows = zip(t0.tolist(), *(cells[key].tolist() for key in header[1:]))
+    _write_table(header, [_csv(rows)], output)
     window = emission_window(state, mode)
     split = unitarity_sum(mode, traj)
     print(
@@ -479,7 +481,7 @@ def _run_oracle(v: dict, output: str | None) -> int:
                     worst = (rel_err, (omega, r, t0))
     _write_table(
         ("omega_bar_T", "r", "t0", "closed", "quadrature", "rel_err"),
-        rows,
+        [_csv(rows)],
         output,
     )
     rel_err, where = worst
@@ -502,12 +504,15 @@ def _run_estimate(v: dict, output: str | None) -> int:
     cavity = CavityScenario.from_ratios(
         v["ratio-RT"], v["lambda3-over-V"], v["R-over-lambda"]
     )
-    empty = EmptySpaceScenario(
-        ratio_rt=v["ratio-RT"],
-        bandwidth_ratio=v["delta-omega-ratio"],
-        solid_angle=v["solid-angle"],
-        flight_phase=v["omega-bar-T"],
-    )
+    _warn_relativistic(Trajectory(apex=v["ratio-RT"], half_time=1.0))
+    with warnings.catch_warnings():  # the same rule, said once, as everywhere
+        warnings.filterwarnings("ignore", "ratio_rt = .* superluminal")
+        empty = EmptySpaceScenario(
+            ratio_rt=v["ratio-RT"],
+            bandwidth_ratio=v["delta-omega-ratio"],
+            solid_angle=v["solid-angle"],
+            flight_phase=v["omega-bar-T"],
+        )
     if v["kind"] == "cavity":
         row = _inputs(v, "kind", "ratio-RT", "lambda3-over-V", "R-over-lambda")
         row["flight_phase"] = cavity.flight_phase
@@ -523,53 +528,72 @@ def _run_estimate(v: dict, output: str | None) -> int:
 
 
 def sweep(values: dict, output: str | None) -> int:
-    """Cartesian sweep over the ``vary`` axes, row-major in axis order."""
+    """Cartesian sweep over the ``vary`` axes, row-major in axis order.
+
+    Each column is computed once at the shape of the axes it depends on
+    (``single_mode._table``) and each value formatted once.  The rows the
+    scalar path refuses with RangeError are range_error rows; the first it
+    refuses with DomainError ends the sweep with that error."""
     names = [name for name, _ in values["vary"]]
     if len(names) > _MAX_AXES:
         raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(names)}")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate --vary axes: {', '.join(names)}")
-    count = math.prod(len(axis) for _, axis in values["vary"])
+    shape = tuple(len(axis) for _, axis in values["vary"]) or (1,)
+    count = math.prod(shape)
     if count > _MAX_ROWS:
         raise ConfigError(f"--vary axes give {count} rows, above {_MAX_ROWS}")
-    grids = [list(axis) for _, axis in values["vary"]]
-    inputs = operator.itemgetter(*_OPTIONS["sweep"])
-    rows = []
-    warned = False
-    nan = float("nan")
-    for combo in itertools.product(*grids):
-        point = dict(values)
-        point.update(zip(names, combo))
-        base = inputs(point)
-        try:
-            state = SqueezeState(point["r"], point["theta"])
-            mode = _mode_from(point["omega-bar-T"], point["lambda3-over-V"])
-            traj = Trajectory(apex=point["ratio-RT"], half_time=1.0)
-            if traj.is_relativistic and not warned:
-                _warn_relativistic(traj)
-                warned = True
-            t0 = _emission_time(point["t0-omega"], mode.omega)
-            result = coherence_shift(state, mode, traj, t0)
-            window = emission_window(state, mode)
-            split = unitarity_sum(mode, traj)
-            rows.append(
-                base
-                + (
-                    modulation(state, mode, t0),
-                    result.value,
-                    result.contrast_factor,
-                    window.width,
-                    windowed_modulation(state),
-                    windowed_coherence_shift(state, mode, traj),
-                    split.max_shift,
-                    split.total,
-                    "degenerate" if window.degenerate else "ok",
-                )
-            )
-        except RangeError:
-            # row stays in the table so the grid shape is never silently lost
-            rows.append(base + (nan,) * 8 + ("range_error",))
-    _write_table(_SWEEP_HEADER, rows, output)
+    inputs = {key: np.full((1,) * len(shape), values[key]) for key in _OPTIONS["sweep"]}
+    inputs.update(zip(names, np.ix_(*(axis for _, axis in values["vary"]))))
+    r, theta, omega, apex, ratio, t0_omega = inputs.values()
+    volume = _each(_mode_volume, omega, ratio)
+    with np.errstate(all="ignore"):
+        t0 = t0_omega / omega
+    usable = (r >= 0.0) & (r <= SQUEEZE_CAP) & np.isfinite(theta)
+    cells = _table(
+        np.where(usable, r, 0.0), np.where(usable, theta, 0.0), omega, volume, apex, t0
+    )
+    # the checks of the scalar path in its order; a row's first failure decides:
+    # DomainError at 0, 2, 4 ends the sweep, RangeError at 1, 3, 5 marks the row
+    checks = (
+        ~(np.isfinite(r) & np.isfinite(theta)) | (r < 0.0),
+        (r > SQUEEZE_CAP) | ~(np.isfinite(volume) & (volume > 0.0)),
+        ~(np.isfinite(apex) & (apex > 0.0)),
+        np.isfinite(t0_omega) & ~np.isfinite(t0) | ~np.isfinite(cells["envelope"]),
+        ~np.isfinite(t0),
+        ~(np.isfinite(cells["w_r"]) & np.isfinite(cells["contrast_factor"])),
+    )
+    stage = np.select([np.broadcast_to(c, shape) for c in checks], range(6), 6).ravel()
+    domain = np.isin(stage, (0, 2, 4))
+    first = int(domain.argmax()) if domain.any() else count - 1
+    flat = [np.broadcast_to(x, shape).flat for x in inputs.values()]
+    apexes = np.where(checks[2], 1.0, apex)  # rows with a bad apex stop before
+    fast = _each(lambda a: Trajectory(a, 1.0).is_relativistic, apexes) > 0
+    warned = ((stage >= 3) & np.broadcast_to(fast, shape).ravel())[: first + 1]
+    if warned.any():  # at the first row where the scalar path checks the speed
+        _warn_relativistic(Trajectory(flat[3][warned.argmax()], 1.0))
+    if domain[first]:  # the scalar path raises this row's DomainError
+        at = [float(x[first]) for x in flat]
+        state, mode = SqueezeState(at[0], at[1]), _mode_from(at[2], at[4])
+        coherence_shift(state, mode, Trajectory(at[3], 1.0), at[5] / mode.omega)
+    range_error = (stage % 2 == 1).reshape(shape)
+    status = np.where(range_error, "range_error", np.where(r == 0, "degenerate", "ok"))
+    fmt = np.frompyfunc(repr, 1, 1)  # each value once: along the first axis by block
+    columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1])]
+    columns = [c if c.shape[0] > 1 else fmt(c) for c in columns]
+    step = max(1, _BLOCK_ROWS * shape[0] // count)
+
+    def blocks():  # along the first axis, so the table is never held at once
+        for i in range(0, shape[0], step):
+            bad = range_error[i : i + step]
+            strings = [fmt(c[i : i + step]) if c.shape[0] > 1 else c for c in columns]
+            strings = [np.broadcast_to(s, bad.shape) for s in strings]
+            strings[6:] = [np.where(bad, "nan", c) for c in strings[6:]]
+            strings.append(status[i : i + step])
+            lines = zip(*(c.ravel().tolist() for c in strings))
+            yield "".join(",".join(line) + "\n" for line in lines)
+
+    _write_table(_SWEEP_HEADER, blocks(), output)
     return 0
 
 

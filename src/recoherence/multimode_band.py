@@ -135,7 +135,7 @@ def band_coherence_shift_exact(
         shift = _mode_shift(omega, _cell_volume(band.solid_angle, omega, 1.0), traj)
         if window_averaged:
             return g_avg * shift
-        return _modulation(state, omega, t0) * shift
+        return _modulation(state.r, state.theta, omega, t0) * shift
 
     span = traj.half_time if window_averaged else traj.half_time + abs(t0)
     lo, hi = band.edges
@@ -199,7 +199,7 @@ def mode_sum_oracle(
     cell = 2.0 * band.half_width / n
     omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
     shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
-    shifts *= _modulation(state, omegas, t0)
+    shifts *= _modulation(state.r, state.theta, omegas, t0)
     return _finite_result(float(np.sum(shifts)), "mode sum")
 
 

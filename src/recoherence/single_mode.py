@@ -29,6 +29,9 @@ its own window g lies in (-1/3, 0), which bounds the attainable windowed
 recoherence by (8*pi*alpha/(3*V*omega))*M; adding the vacuum loss
 -(4*pi*alpha/(V*omega))*M keeps the total negative, so no emission
 strategy beats a fluctuation-free field.
+
+The public functions take one state, mode and trajectory; the private
+closed forms they share, and ``_table`` for a whole sweep, take arrays too.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .errors import _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 from ._special import (
+    _each,
     j2_over_x,
     phase_weight,
     phase_weight_max,
@@ -104,32 +108,42 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     emission time; vanishes at the zeros of j2 and opens quadratically,
     M -> (256/225)*R^2*omega^2*T^2, for omega*T -> 0.
     """
-    return _envelope(mode.omega, traj)
+    return _checked_envelope(mode.omega, traj)
 
 
-def _envelope(omega, traj: Trajectory):
-    """M = (16*R*s)^2, s = j2(omega*T)/(omega*T), at a scalar or an array
-    omega; squared as one amplitude, so only an M past double precision fails."""
+def _envelope(s, apex):
+    """M = (16*R*s)^2 at s = j2(omega*T)/(omega*T), scalars or arrays: squared
+    as one amplitude, so M is inf only where M itself overflows."""
+    amplitude = 16.0 * (apex * s)
+    return amplitude * amplitude
+
+
+def _checked_envelope(omega, traj: Trajectory):
+    """M of one trajectory at a scalar or an array omega; RangeError once an
+    M leaves double precision (M >= 0, so the largest decides)."""
     s = j2_over_x(omega * traj.half_time)
     if isinstance(s, float):
-        amplitude = 16.0 * (traj.apex * s)
-        return _finite_result(amplitude * amplitude, "mode envelope")
-    with np.errstate(over="ignore"):  # refused just below
-        s *= traj.apex
-        s *= 16.0
-        s *= s
-    _finite_result(s.max(), "mode envelope")  # M >= 0: its largest decides
-    return s
+        return _finite_result(_envelope(s, traj.apex), "mode envelope")
+    with np.errstate(over="ignore"):
+        m = _envelope(s, traj.apex)
+    _finite_result(m.max(), "mode envelope")
+    return m
 
 
 def _mode_shift(omega, volume, traj: Trajectory):
-    """-(8*pi*alpha/(V*omega)) * M, the shift of one mode per unit modulation.
+    """-(8*pi*alpha/(V*omega)) * M of one trajectory at a scalar or an array
+    omega, for the closed forms, the band and the estimates."""
+    return _per_mode(omega, volume, _checked_envelope(omega, traj))
 
-    The one place it is written: the closed forms here, the band and the
-    estimates (with V a phase-space cell volume) use it, scalar or array.
-    """
-    envelope = _envelope(omega, traj)
+
+def _per_mode(omega, volume, envelope):
+    """-(8*pi*alpha/(V*omega)) * M at scalars or arrays: the one place it is."""
     return -8.0 * math.pi * FINE_STRUCTURE / (volume * omega) * envelope
+
+
+def _max_shift(omega, volume, envelope):
+    """(8*pi*alpha/(3*V*omega)) * M, the windowed supremum, scalars or arrays."""
+    return 8.0 * math.pi * FINE_STRUCTURE / (3.0 * volume * omega) * envelope
 
 
 def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
@@ -137,14 +151,20 @@ def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
 
     Ranges over [modulation_min, modulation_max] as t0 varies; negative
     values mark emission times at which the mode *restores* contrast.
+    RangeError when the emission phase leaves double precision.
     """
-    return _modulation(state, mode.omega, _finite_input("emission time", t0))
+    t0 = _finite_input("emission time", t0)
+    return _modulation(state.r, state.theta, mode.omega, t0)
 
 
-def _modulation(state: SqueezeState, omega, t0: float):
-    """g at emission time t0 for a scalar or an array omega: the one place
-    the emission phase 2*omega*t0 - theta is written."""
-    return phase_weight(state.r, 2.0 * omega * t0 - state.theta)
+def _modulation(r, theta, omega, t0):
+    """g at emission time t0 for scalars or arrays that broadcast: the one
+    place the emission phase 2*omega*t0 - theta is written.  A scalar phase
+    outside double precision raises RangeError, an array one gives nan."""
+    phase = 2.0 * omega * t0 - theta
+    if isinstance(phase, float):
+        _finite_result(phase, "emission phase")
+    return phase_weight(r, phase)
 
 
 def modulation_min(state: SqueezeState) -> float:
@@ -171,10 +191,15 @@ def coherence_shift(
         _mode_shift(mode.omega, mode.volume, traj) * modulation(state, mode, t0),
         "coherence shift",
     )
-    contrast = math.exp(value) if value <= _LOG_MAX else math.inf
     return CoherenceResult(
-        value=value, contrast_factor=_finite_result(contrast, "contrast factor")
+        value=value,
+        contrast_factor=_finite_result(_contrast(value), "contrast factor"),
     )
+
+
+def _contrast(value: float) -> float:
+    """e^W, inf past double precision (``math.exp``: numpy's moves some bits)."""
+    return math.exp(value) if value <= _LOG_MAX else math.inf
 
 
 def long_time_average(
@@ -202,15 +227,19 @@ def emission_window(state: SqueezeState, mode: ModeSpec) -> EmissionWindow:
     (2/omega)*e^{-r} for large r.  At r = 0 the modulation vanishes
     identically; the full-width window is returned with ``degenerate=True``.
     """
-    rate = 2.0 * mode.omega
-    half = window_half_angle(state.r) / rate
-    centre = (math.pi + state.theta) / rate
+    half = _window_half_width(state.r, mode.omega)
+    centre = (math.pi + state.theta) / (2.0 * mode.omega)
     return EmissionWindow(
         start=centre - half,
         end=centre + half,
         width=2.0 * half,
         degenerate=(state.r == 0.0),
     )
+
+
+def _window_half_width(r, omega):
+    """arccos(tanh r)/(2*omega), half the window width; scalars or arrays."""
+    return _each(window_half_angle, r) / (2.0 * omega)
 
 
 def windowed_modulation(state: SqueezeState) -> float:
@@ -245,11 +274,7 @@ def max_recoherence(mode: ModeSpec, traj: Trajectory) -> float:
     squeeze state by construction.
     """
     return _finite_result(
-        8.0
-        * math.pi
-        * FINE_STRUCTURE
-        / (3.0 * mode.volume * mode.omega)
-        * mode_envelope(mode, traj),
+        _max_shift(mode.omega, mode.volume, mode_envelope(mode, traj)),
         "max recoherence bound",
     )
 
@@ -273,6 +298,26 @@ def unitarity_sum(mode: ModeSpec, traj: Trajectory) -> UnitaritySplit:
     return UnitaritySplit(
         vacuum=vacuum, max_shift=max_shift, total=vacuum + max_shift
     )
+
+
+def _table(r, theta, omega, volume, apex, t0) -> dict:
+    """The sweep's columns, and "envelope", at arrays that broadcast (T = 1).
+
+    Each factor takes the shape of the inputs it depends on, and the bits of
+    the scalar functions above (kernels of r and j2 run per value); a cell
+    they refuse with RangeError is left inf or nan."""
+    with np.errstate(all="ignore"):
+        envelope = _envelope(_each(j2_over_x, omega), apex)
+        shift = _per_mode(omega, volume, envelope)
+        g = _modulation(r, theta, omega, t0)
+        g_avg = _each(windowed_phase_weight, r)
+        w_r_max = _max_shift(omega, volume, envelope)
+        w_r = shift * g
+        return dict(
+            envelope=envelope, g=g, w_r=w_r, contrast_factor=_each(_contrast, w_r),
+            window_width=2.0 * _window_half_width(r, omega), g_avg=g_avg,
+            w_r_avg=shift * g_avg, w_r_max=w_r_max, w_total=0.5 * shift + w_r_max,
+        )
 
 
 __all__ = [

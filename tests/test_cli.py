@@ -298,6 +298,27 @@ def test_relativistic_warning_on_stderr(run_cli):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["single-mode", "--t0-grid", "1"],
+        ["band"],
+        ["oracle", "--grid", "quick"],
+        ["estimate", "cavity"],
+        ["estimate", "empty-space"],
+        ["sweep"],
+    ],
+    ids=" ".join,
+)
+def test_superluminal_trajectory_is_one_line_in_every_subcommand(run_cli, argv):
+    proc = run_cli(*argv, "--ratio-RT", "0.8")
+    assert proc.returncode == 0
+    assert [line for line in proc.stderr.splitlines() if "speed" in line] == [
+        "warning: trajectory peak speed 1.23168 exceeds 1 (units with c = 1); "
+        "results are formal"
+    ]
+
+
+@pytest.mark.parametrize(
     "options,edge",
     [([], "1e-300"), ([], "1e300"), (["--t0-omega", "1e300"], "1e-10")],
     ids=["1e-300", "1e300", "t0-omega-1e300"],

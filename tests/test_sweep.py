@@ -1,0 +1,151 @@
+"""The sweep table against frozen bytes and against the per-row scalar path."""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from recoherence import (
+    DomainError,
+    RangeError,
+    SqueezeState,
+    Trajectory,
+    coherence_shift,
+    emission_window,
+    modulation,
+    unitarity_sum,
+    windowed_coherence_shift,
+    windowed_modulation,
+)
+from recoherence import cli
+
+# 3 x 4 x 3 rows with ok, degenerate (r = 0) and range_error rows (r above
+# SQUEEZE_CAP, omega-bar-T at both edges of double precision)
+_GOLDEN_ARGV = [
+    "sweep", "--theta", "0.3", "--ratio-RT", "0.2",
+    "--vary", "r=0,1.5,351",
+    "--vary", "omega-bar-T=1e-300,0.5,3.34,1e300",
+    "--vary", "t0-omega=0,1,2.5",
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_sweep_bytes_are_frozen(tmp_path):
+    golden = (Path(__file__).parent / "golden_sweep.csv").read_bytes()
+    code, out, err = _run(_GOLDEN_ARGV)
+    assert (code, err) == (0, "") and out.encode() == golden
+    path = tmp_path / "sweep.csv"
+    assert _run(_GOLDEN_ARGV + ["--output", str(path)])[:2] == (0, "")
+    assert path.read_bytes() == golden
+
+
+def _scalar_sweep(values, axes):
+    """Exit code, stdout and stderr of the sweep, one row at a time through
+    the scalar library calls: the reference the array path must match."""
+    points = [{}]
+    for name, axis in axes:
+        points = [{**point, name: value} for point in points for value in axis]
+    lines, warned = [",".join(cli._SWEEP_HEADER)], ""
+    for point in points:
+        v = {**values, **point}
+        inputs = [repr(v[key]) for key in cli._OPTIONS["sweep"]]
+        try:
+            state = SqueezeState(v["r"], v["theta"])
+            mode = cli._mode_from(v["omega-bar-T"], v["lambda3-over-V"])
+            traj = Trajectory(v["ratio-RT"], 1.0)
+            if traj.is_relativistic and not warned:
+                warned = (
+                    f"warning: trajectory peak speed {traj.max_speed:.6g} exceeds 1 "
+                    "(units with c = 1); results are formal\n"
+                )
+            t0 = cli._emission_time(v["t0-omega"], mode.omega)
+            result = coherence_shift(state, mode, traj, t0)
+            window = emission_window(state, mode)
+            split = unitarity_sum(mode, traj)
+            cells = [
+                repr(value)
+                for value in (
+                    modulation(state, mode, t0),
+                    result.value,
+                    result.contrast_factor,
+                    window.width,
+                    windowed_modulation(state),
+                    windowed_coherence_shift(state, mode, traj),
+                    split.max_shift,
+                    split.total,
+                )
+            ]
+            cells.append("degenerate" if window.degenerate else "ok")
+        except RangeError:
+            cells = ["nan"] * 8 + ["range_error"]
+        except DomainError as exc:
+            return 1, "", f"{warned}recoherence: error: {exc}\n"
+        lines.append(",".join(inputs + cells))
+    return 0, "\n".join(lines) + "\n", warned
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# each option over its whole domain and over a typical range
+_VALID = {
+    "r": st.one_of(st.floats(0.0, 400.0), st.floats(0.0, 3.0), st.sampled_from([0.0, 350.0])),
+    "theta": st.floats(-10.0, 10.0),
+    "omega-bar-T": st.one_of(_log_uniform(-300.0, 300.0), _log_uniform(-3.0, 3.0)),
+    "ratio-RT": st.one_of(_log_uniform(-300.0, 300.0), _log_uniform(-3.0, 0.0)),
+    "lambda3-over-V": st.one_of(_log_uniform(-300.0, 300.0), st.just(1.0)),
+    "t0-omega": st.one_of(st.floats(-1e308, 1e308), st.floats(-10.0, 10.0)),
+}
+# values the CLI accepts and the scalar path refuses with DomainError
+_REFUSED = {
+    "r": st.sampled_from([-1.0, math.inf, math.nan]),
+    "theta": st.sampled_from([math.inf, math.nan]),
+    "ratio-RT": st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+    "t0-omega": st.sampled_from([math.inf, -math.inf, math.nan]),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    """Option values and up to three axes; one value in four sweeps is refused."""
+    values = {name: draw(valid) for name, valid in _VALID.items()}
+    names = draw(st.lists(st.sampled_from(list(_VALID)), max_size=3, unique=True))
+    axes = {name: draw(st.lists(_VALID[name], min_size=1, max_size=4)) for name in names}
+    if draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(list(_REFUSED)))
+        if name in axes:
+            axes[name].insert(draw(st.integers(0, len(axes[name]))), draw(_REFUSED[name]))
+        else:
+            values[name] = draw(_REFUSED[name])
+    return values, list(axes.items())
+
+
+_DEFAULTS = {key: default for key, (_, default, _) in cli._OPTIONS["sweep"].items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweeps())
+# the order of the checks: the envelope before the emission time, the cap
+# before the apex, and the speed warning only up to the refused row; an
+# emission phase 2*omega*t0 past double precision is a range_error row
+@example(({**_DEFAULTS, "ratio-RT": 1e160}, [("t0-omega", [0.0, math.nan])]))
+@example((_DEFAULTS, [("t0-omega", [0.0, 1e308])]))
+@example(({**_DEFAULTS, "ratio-RT": -1.0}, [("r", [351.0, 1.0])]))
+@example((_DEFAULTS, [("ratio-RT", [0.8, -1.0])]))
+@example((_DEFAULTS, [("ratio-RT", [-1.0, 0.8])]))
+def test_array_sweep_equals_scalar_rows(sweep):
+    values, axes = sweep
+    argv = ["sweep"] + [f"--{name}={value!r}" for name, value in values.items()]
+    for name, axis in axes:
+        argv += ["--vary", f"{name}={','.join(map(repr, axis))}"]
+    assert _run(argv) == _scalar_sweep(values, axes)
