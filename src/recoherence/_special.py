@@ -81,8 +81,12 @@ def j2_over_x(x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return j2_over_x(float(x))
+    magnitude = np.abs(x)
+    if x.size and _J2_SERIES_CUT <= magnitude.min() and magnitude.max() < math.inf:
+        # every point finite and on the trigonometric side (nan fails too)
+        return _j2_over_x_trig(x, np.sin(x), np.cos(x))
     out = np.empty_like(x)
-    small = np.abs(x) < _J2_SERIES_CUT
+    small = magnitude < _J2_SERIES_CUT
     out[small] = _j2_over_x_series(x[small])
     big = ~small
     xb = x[big]

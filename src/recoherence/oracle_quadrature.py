@@ -29,8 +29,9 @@ budget, at most _MAX_NODES nodes per evaluation.  Every public entry point
 re-evaluates at doubled resolution and raises ConvergenceError when the two
 disagree beyond the configured tolerance, so a silently under-resolved
 oscillation cannot masquerade as agreement; an imaginary residue left by a
-mis-assembled kernel raises it too.  Summation orders are fixed, making
-results bit-reproducible on a given platform.
+mis-assembled kernel raises it too.  Sums are numpy's pairwise ``np.sum``,
+whose order no BLAS thread count changes (a BLAS dot splits across
+threads), making results bit-reproducible on a given platform.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _loop_line(
         -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), cfg
     )
     phase = np.exp(-1j * mode.omega * (t + t0))
-    line = complex(np.dot(w * traj.velocity(t), phase))
+    line = complex(np.sum(w * traj.velocity(t) * phase))
     return sum(sign * direction for sign, direction in _LEGS) * line
 
 
@@ -300,7 +301,7 @@ def integrate_oscillatory(
 
     def evaluate(c: QuadratureConfig) -> float:
         x, w = _panel_nodes(lo, hi, oscillations, c)
-        return float(np.dot(w, f(x)))
+        return float(np.sum(w * f(x)))
 
     return _refined(evaluate, cfg, "oscillatory integral", refine)
 

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import subprocess
 import sys
@@ -107,6 +108,31 @@ def test_oracle_quick_grid_passes(run_cli):
     assert len(lines) == 1 + 2 * 2 * 4
     worst = max(float(line.split(",")[-1]) for line in lines[1:])
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["band", "--omega-bar-T", "3000", "--t0-omega", "30"],
+        ["oracle", "--grid", "quick", "--nodes-per-period", "200000"],
+    ],
+    ids=["band", "oracle"],
+)
+def test_stdout_bytes_do_not_depend_on_blas_threads(argv):
+    # a BLAS dot over these long node sets splits across threads and moves
+    # the last digits; the sums must not follow the thread count
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "recoherence", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n},
+        )
+        for n in ("1", "2")
+    ]
+    outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] == outs[1]
 
 
 def test_oracle_starved_tolerance_exits_two(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from recoherence import (
@@ -15,7 +17,8 @@ from recoherence import (
     coherence_shift,
     mode_sum_oracle,
 )
-from recoherence.multimode_band import MAX_MODES
+from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
+from recoherence.single_mode import _mode_shift, _modulation
 
 # Frozen from a 30-digit mpmath evaluation of the continuum band integral
 # at r = 1, theta = 0, center = 3.34, half_width = 0.334, solid angle 0.1,
@@ -170,3 +173,37 @@ def test_mode_sum_cap_rejected_before_allocation():
     state, band, traj = _setup()
     with pytest.raises(DomainError, match=f"\\[1, {MAX_MODES}\\]"):
         mode_sum_oracle(state, band, traj, MAX_MODES + 1)
+
+
+@pytest.mark.parametrize(
+    "n", [1, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7]
+)
+def test_blocked_mode_sum_has_the_one_shot_bits(n):
+    # blocks change where the shifts are computed, not a single operation
+    state, band, traj = _setup(0.7)
+    cell = 2.0 * band.half_width / n
+    omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
+    shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
+    one_shot = float(np.sum(shifts * _modulation(state.r, state.theta, omegas, 0.3)))
+    assert mode_sum_oracle(state, band, traj, n, 0.3).hex() == one_shot.hex()
+
+
+@pytest.mark.parametrize("t0", [1e308, -1e308])
+def test_emission_phase_overflow_is_named(t0):
+    # refused before any block runs, so numpy warns nothing (pyproject turns
+    # a RuntimeWarning into an error)
+    state, band, traj = _setup()
+    with pytest.raises(RangeError, match="emission phase overflows"):
+        mode_sum_oracle(state, band, traj, 16, t0)
+
+
+def test_mode_sum_memory_is_one_array_and_a_block():
+    state, band, traj = _setup()
+    n = 10**6
+    tracemalloc.start()
+    try:
+        mode_sum_oracle(state, band, traj, n, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n + 8 * 10**6  # the shifts, and 8 MB for a block

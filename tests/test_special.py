@@ -99,6 +99,31 @@ def test_j2_over_x_array_equals_scalar(xs):
         assert abs(got - j2_over_x(x)) <= 1e-15 * _scale(x)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(2.0, 1e300), st.floats(-1e300, -2.0)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_j2_over_x_trig_only_array_has_the_masked_bits(xs):
+    # every point above the cut skips the masks; one point below it does not
+    x = np.array(xs)
+    masked = j2_over_x(np.append(x, 0.5))[:-1]
+    assert j2_over_x(x).tobytes() == masked.tobytes()
+
+
+def test_j2_over_x_array_edges():
+    # +-inf, nan and empty arrays take the masked path
+    three = j2_over_x(np.array([3.0]))[0]
+    assert j2_over_x(np.array([math.inf, -math.inf])).tolist() == [0.0, 0.0]
+    assert j2_over_x(np.array([3.0, -math.inf])).tolist() == [three, 0.0]
+    with_nan = j2_over_x(np.array([math.nan, 3.0]))
+    assert math.isnan(with_nan[0]) and with_nan[1] == three
+    assert j2_over_x(np.array([])).shape == (0,)
+
+
 @pytest.mark.parametrize("x", [0.5, 2.0, 3.342, 7.0, 30.0])
 def test_j2_prime_numerator_is_x4_times_the_derivative(x):
     def numerator(t):
