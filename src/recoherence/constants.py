@@ -7,17 +7,12 @@ every reported coherence quantity is dimensionless.
 
 from __future__ import annotations
 
-import math
-
 #: Fine-structure constant (CODATA 2018 recommended value).
 FINE_STRUCTURE: float = 1.0 / 137.035999084
-
-#: Squared elementary charge in Lorentz-Heaviside units.
-E_SQUARED: float = 4.0 * math.pi * FINE_STRUCTURE
 
 #: Largest admissible squeeze magnitude.  Above this cap e^{2r} would leave
 #: the double-precision range, so constructors reject it outright instead of
 #: returning infinities downstream.
 SQUEEZE_CAP: float = 350.0
 
-__all__ = ["FINE_STRUCTURE", "E_SQUARED", "SQUEEZE_CAP"]
+__all__ = ["FINE_STRUCTURE", "SQUEEZE_CAP"]

@@ -21,9 +21,13 @@ limit from the opposite (discrete) direction.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,12 +42,17 @@ from ._special import windowed_phase_weight
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
 
-#: largest mode count of mode_sum_oracle (8 bytes a mode, plus one block)
+#: largest mode count of mode_sum_oracle (8 bytes a mode, plus one block's
+#: temporaries per worker thread)
 MAX_MODES = 10**7
 
-#: modes mode_sum_oracle evaluates at a time: 128 KB a temporary, so the
-#: temporaries of one block stay in a core's L2 cache
+#: modes each worker of mode_sum_oracle evaluates at a time: 128 KB a
+#: temporary, so the temporaries of one block stay in a core's L2 cache
 _MODE_BLOCK = 2**14
+
+#: most worker threads of mode_sum_oracle, one per available CPU: it bounds
+#: the block temporaries held at once
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,58 @@ def _cell_volume(solid_angle: float, omega, width):
     if not np.all(volume > 0.0):
         raise RangeError("phase-space cell volume underflows double precision")
     return volume
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _each_block(fill: Callable[[int], None], n: int) -> None:
+    """fill(start) for every block start of n modes, on up to _MAX_WORKERS
+    threads.
+
+    Worker k takes every workers-th start from the k-th, in order; the
+    calling thread is worker 0, so at one worker no thread starts.  Each
+    thread runs in a copy of the caller's context and so keeps its
+    ``np.errstate``.  Workers catch what they raise; once a block fails no
+    worker starts a later one, and the exception of the lowest failing
+    start is raised here, the one a serial loop would raise.
+    """
+    starts = range(0, n, _MODE_BLOCK)
+    workers = min(_available_cpus(), len(starts), _MAX_WORKERS)
+    failed_at, failure = n, None  # the lowest failing start and its exception
+    lock = threading.Lock()
+
+    def work(mine: range) -> None:
+        nonlocal failed_at, failure
+        for start in mine:
+            if start > failed_at:
+                return
+            try:
+                fill(start)
+            except BaseException as exc:
+                with lock:
+                    if start < failed_at:
+                        failed_at, failure = start, exc
+                return
+
+    threads = [
+        threading.Thread(
+            target=contextvars.copy_context().run, args=(work, starts[k::workers])
+        )
+        for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    work(starts[::workers])
+    for thread in threads:
+        thread.join()
+    if failure is not None:
+        raise failure
 
 
 def band_coherence_shift_exact(
@@ -198,10 +259,13 @@ def mode_sum_oracle(
     reproduces the single-mode shift at the band centre with the matched
     volume.
 
-    Modes are evaluated in blocks of ``_MODE_BLOCK``, each shift written
-    into one array that is summed once: 8 bytes a mode (80 MB at
-    ``MAX_MODES``) plus the temporaries of one block.  RangeError when the
-    emission phase, a cell volume or the sum leaves double precision.
+    Modes are evaluated in blocks of ``_MODE_BLOCK``, shared out to one
+    thread per available CPU, at most ``_MAX_WORKERS`` and at most one a
+    block.  Each block writes its own slice of one array, which is summed
+    once, so the value has the same bits at any thread count.  Memory is 8
+    bytes a mode (80 MB at ``MAX_MODES``) plus one block's temporaries per
+    thread.  RangeError when the emission phase, a cell volume or the sum
+    leaves double precision.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
@@ -212,13 +276,16 @@ def mode_sum_oracle(
     for k in (0, n - 1):
         _modulation(state.r, state.theta, lo + (k + 0.5) * cell, t0)
     shifts = np.empty(n)
-    for start in range(0, n, _MODE_BLOCK):
+
+    def fill(start: int) -> None:
         block = shifts[start : start + _MODE_BLOCK]
         omegas = lo + (np.arange(start, start + block.size) + 0.5) * cell
         block[:] = _mode_shift(
             omegas, _cell_volume(band.solid_angle, omegas, cell), traj
         )
         block *= _modulation(state.r, state.theta, omegas, t0)
+
+    _each_block(fill, n)
     return _finite_result(float(np.sum(shifts)), "mode sum")
 
 

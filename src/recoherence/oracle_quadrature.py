@@ -61,6 +61,10 @@ _MAX_NODES = 2**22
 #: (orientation, velocity sign) of arm C1 and of the mirrored arm C2
 _LEGS = ((1.0, 1.0), (-1.0, -1.0))
 
+#: rounding floor of the refinement check, in units of the summed terms'
+#: magnitude: two budgets that differ by less differ by rounding alone
+_ROUNDING = 16.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -74,10 +78,11 @@ class QuadratureConfig:
         Fixed panel order: one of "gl2", "gl4", "gl8", "gl16".
     rel_tol, abs_tol : float
         Finite, positive thresholds of the refinement check: the base and
-        the doubled resolution must agree within max(abs_tol, rel_tol*|value|).
-        At an over-resolved budget the two results can agree bit for bit,
-        so a tolerance set below rounding noise does not make the check
-        fail; only an under-resolved rule does.
+        the doubled resolution must agree within max(abs_tol, rel_tol*|value|)
+        or within rounding, a few eps times the magnitude of the summed
+        terms, whichever is larger.  So a tolerance set below rounding
+        noise does not fail a converged value; only an under-resolved rule
+        does.
     """
 
     nodes_per_period: int = 32
@@ -134,18 +139,23 @@ def _panel_nodes(
 
 
 def _refined(
-    evaluate: Callable[[QuadratureConfig], float],
+    evaluate: Callable[[QuadratureConfig], tuple[float, float]],
     cfg: QuadratureConfig | None,
     what: str,
     refine: bool,
 ) -> float:
-    """evaluate(cfg), checked against the doubled budget when ``refine``."""
+    """The value of evaluate(cfg), checked against the doubled budget when
+    ``refine``.
+
+    ``evaluate`` returns the value and the magnitude of the terms summed
+    into it, which sets the rounding floor of the tolerance.
+    """
     cfg = cfg or _DEFAULT
-    coarse = evaluate(cfg)
+    coarse, _ = evaluate(cfg)
     if not refine:
         return coarse
-    fine = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(fine))
+    fine, size = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(fine), _ROUNDING * size)
     if abs(fine - coarse) > tol:
         raise ConvergenceError(
             f"{what} did not stabilise under refinement: "
@@ -161,17 +171,19 @@ def _mode_oscillations(mode: ModeSpec, traj: Trajectory) -> float:
 
 def _loop_line(
     mode: ModeSpec, traj: Trajectory, t0: float, cfg: QuadratureConfig
-) -> complex:
-    """L = sum over legs of sign * int v_leg(t) e^{-i*omega*(t + t0)} dt.
+) -> tuple[complex, float]:
+    """L = sum over legs of sign * int v_leg(t) e^{-i*omega*(t + t0)} dt,
+    and the magnitude of its terms, sum |w*v|, at the same scale.
 
     The legs share the nodes: one line integral times their summed signs.
     """
     t, w = _panel_nodes(
         -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), cfg
     )
-    phase = np.exp(-1j * mode.omega * (t + t0))
-    line = complex(np.sum(w * traj.velocity(t) * phase))
-    return sum(sign * direction for sign, direction in _LEGS) * line
+    wv = w * traj.velocity(t)
+    line = complex(np.sum(wv * np.exp(-1j * mode.omega * (t + t0))))
+    legs = sum(sign * direction for sign, direction in _LEGS)
+    return legs * line, abs(legs) * float(np.sum(np.abs(wv)))
 
 
 def _loop_value(total: complex, what: str) -> float:
@@ -214,8 +226,8 @@ def quad_coherence_shift(
     mu, nu, eta = state.mu, state.nu, state.eta
     scale = mode.volume * mode.omega
 
-    def evaluate(c: QuadratureConfig) -> float:
-        line = _loop_line(mode, traj, t0, c)
+    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
+        line, size = _loop_line(mode, traj, t0, c)
         bar = line.conjugate()
         total = (
             -mu * nu * line * line
@@ -223,7 +235,9 @@ def quad_coherence_shift(
             + eta * eta * line * bar
             + eta * eta * bar * line
         ) / scale
-        return _loop_value(total, "coherence-shift quadrature")
+        terms = 2.0 * (abs(mu * nu) + abs(eta) ** 2) * size * size / scale
+        value = _loop_value(total, "coherence-shift quadrature")
+        return value, math.pi * FINE_STRUCTURE * terms
 
     return _refined(evaluate, cfg, "coherence-shift quadrature", refine)
 
@@ -241,11 +255,12 @@ def quad_vacuum_term(
     """
     scale = 2.0 * mode.volume * mode.omega
 
-    def evaluate(c: QuadratureConfig) -> float:
-        line = _loop_line(mode, traj, 0.0, c)
+    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
+        line, size = _loop_line(mode, traj, 0.0, c)
         bar = line.conjugate()
         total = (line * bar + bar * line) / scale
-        return _loop_value(total, "vacuum-term quadrature")
+        value = _loop_value(total, "vacuum-term quadrature")
+        return value, math.pi * FINE_STRUCTURE * 2.0 * size * size / scale
 
     return _refined(evaluate, cfg, "vacuum-term quadrature", refine)
 
@@ -264,9 +279,10 @@ def quad_envelope(
     overlap and M = |L|^2/4.
     """
 
-    def evaluate(c: QuadratureConfig) -> float:
-        half = 0.5 * abs(_loop_line(mode, traj, 0.0, c))
-        return half * half
+    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
+        line, size = _loop_line(mode, traj, 0.0, c)
+        half = 0.5 * abs(line)
+        return half * half, 0.25 * size * size
 
     return _refined(evaluate, cfg, "envelope quadrature", refine)
 
@@ -299,9 +315,10 @@ def integrate_oscillatory(
     """
     _finite_input("integration interval length hi - lo", hi - lo, positive=True)
 
-    def evaluate(c: QuadratureConfig) -> float:
+    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
         x, w = _panel_nodes(lo, hi, oscillations, c)
-        return float(np.sum(w * f(x)))
+        terms = w * f(x)
+        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
     return _refined(evaluate, cfg, "oscillatory integral", refine)
 

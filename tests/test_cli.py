@@ -110,6 +110,15 @@ def test_oracle_quick_grid_passes(run_cli):
     assert worst <= 1e-6
 
 
+def test_oracle_tolerance_below_rounding_accepts_a_converged_grid(run_cli):
+    # the two budgets of the quick grid differ by rounding alone (2 ulp at
+    # omega_bar_T=3.34, r=1, t0=0), which no tolerance may turn into exit 2
+    default = run_cli("oracle", "--grid", "quick")
+    tiny = run_cli("oracle", "--grid", "quick", "--rel-tol", "1e-300", "--abs-tol", "1e-160")
+    assert tiny.returncode == 0, tiny.stderr
+    assert tiny.stdout == default.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -17,6 +18,7 @@ from recoherence import (
     coherence_shift,
     mode_sum_oracle,
 )
+from recoherence import multimode_band
 from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
 from recoherence.single_mode import _mode_shift, _modulation
 
@@ -207,3 +209,120 @@ def test_mode_sum_memory_is_one_array_and_a_block():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n + 8 * 10**6  # the shifts, and 8 MB for a block
+
+
+def _pin_workers(monkeypatch, cpus):
+    """Report ``cpus`` CPUs to the mode sum; return the list of threads it
+    starts."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(multimode_band, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(multimode_band.threading, "Thread", Thread)
+    return started
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7, 10**6],
+)
+def test_mode_sum_bits_do_not_depend_on_workers(monkeypatch, n):
+    state, band, traj = _setup(0.7)
+    bits = set()
+    for cpus in (1, 2, 4):
+        started = _pin_workers(monkeypatch, cpus)
+        bits.add(mode_sum_oracle(state, band, traj, n, 0.3).hex())
+        blocks = -(-n // _MODE_BLOCK)
+        assert len(started) == min(cpus, blocks) - 1  # the caller is one
+    assert len(bits) == 1
+
+
+def test_workers_are_capped(monkeypatch):
+    state, band, traj = _setup()
+    started = _pin_workers(monkeypatch, 64)
+    mode_sum_oracle(state, band, traj, 10**6, 0.3)
+    assert len(started) == multimode_band._MAX_WORKERS - 1
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_every_block_keeps_the_callers_errstate(monkeypatch, cpus):
+    state, band, traj = _setup()
+    seen = []
+
+    def cell_volume(solid_angle, omega, width):
+        seen.append((threading.current_thread(), np.geterr()["under"]))
+        return _cell_volume(solid_angle, omega, width)
+
+    monkeypatch.setattr(multimode_band, "_cell_volume", cell_volume)
+    started = _pin_workers(monkeypatch, cpus)
+    with np.errstate(under="raise"):
+        mode_sum_oracle(state, band, traj, 4 * _MODE_BLOCK, 0.3)
+    assert len(seen) == 4 and {under for _, under in seen} == {"raise"}
+    assert {thread for thread, _ in seen} > set(started)
+
+
+def _fail_blocks(monkeypatch, band, n, starts, before):
+    """Make the blocks of an n-mode sum at ``starts`` raise RangeError, each
+    after before(start)."""
+    cell = 2.0 * band.half_width / n
+    at = {band.edges[0] + (start + 0.5) * cell: start for start in starts}
+
+    def cell_volume(solid_angle, omega, width):
+        start = at.get(np.ravel(omega)[0])
+        if start is None:
+            return _cell_volume(solid_angle, omega, width)
+        before(start)
+        raise RangeError(f"injected at block {start}")
+
+    monkeypatch.setattr(multimode_band, "_cell_volume", cell_volume)
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_worker_failure_raises_the_serial_exception(monkeypatch, capfd, cpus):
+    # blocks start at 0, B, 2B and 3B; worker 1 owns B at both counts, and
+    # the serial loop stops at B
+    state, band, traj = _setup()
+    n = 3 * _MODE_BLOCK + 7
+    raised_on = []
+    _fail_blocks(
+        monkeypatch,
+        band,
+        n,
+        (_MODE_BLOCK, 3 * _MODE_BLOCK),
+        lambda start: raised_on.append(threading.current_thread()),
+    )
+    for workers in (1, cpus):
+        raised_on.clear()
+        _pin_workers(monkeypatch, workers)
+        with pytest.raises(RangeError, match=f"injected at block {_MODE_BLOCK}$"):
+            mode_sum_oracle(state, band, traj, n, 0.3)
+    assert threading.current_thread() not in raised_on
+    assert capfd.readouterr().err == ""
+
+
+def test_the_lowest_failing_block_wins_when_it_fails_first(monkeypatch):
+    # at two workers the caller owns blocks 0 and 2B, the thread owns B and
+    # 3B; B fails while the caller is inside 2B, which fails after it
+    state, band, traj = _setup()
+    n = 3 * _MODE_BLOCK + 7
+    in_2b, b_raised = threading.Event(), threading.Event()
+    b_thread = []
+
+    def before(start):
+        if start == _MODE_BLOCK:
+            assert in_2b.wait(30)
+            b_thread.append(threading.current_thread())
+            b_raised.set()
+        else:
+            in_2b.set()
+            assert b_raised.wait(30)
+            b_thread[0].join(30)  # B's failure is recorded when it ends
+
+    _fail_blocks(monkeypatch, band, n, (_MODE_BLOCK, 2 * _MODE_BLOCK), before)
+    _pin_workers(monkeypatch, 2)
+    with pytest.raises(RangeError, match=f"injected at block {_MODE_BLOCK}$"):
+        mode_sum_oracle(state, band, traj, n, 0.3)

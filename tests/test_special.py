@@ -142,12 +142,15 @@ def test_envelope_max_is_the_root_of_j2_prime():
 
 
 def test_import_pulls_in_no_scipy():
+    # nor a process or thread pool: concurrent.futures alone costs every CLI
+    # call about 12 ms of import, and the mode sum starts plain threads
+    heavy = "('scipy', 'concurrent', 'multiprocessing')"
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, recoherence; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy}))",
         ],
         capture_output=True,
         timeout=120,
