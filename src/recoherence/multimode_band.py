@@ -140,9 +140,9 @@ def _each_block(fill: Callable[[int], None], n: int) -> None:
     Worker k takes every workers-th start from the k-th, in order; the
     calling thread is worker 0, so at one worker no thread starts.  Each
     thread runs in a copy of the caller's context and so keeps its
-    ``np.errstate``.  Workers catch what they raise; once a block fails no
-    worker starts a later one, and the exception of the lowest failing
-    start is raised here, the one a serial loop would raise.
+    ``np.errstate`` (a context variable since numpy 2).  A worker catches
+    what it raises and stops; the exception of the lowest failing start is
+    raised here, the one a serial loop would raise.
     """
     starts = range(0, n, _MODE_BLOCK)
     workers = min(_available_cpus(), len(starts), _MAX_WORKERS)
@@ -152,8 +152,6 @@ def _each_block(fill: Callable[[int], None], n: int) -> None:
     def work(mine: range) -> None:
         nonlocal failed_at, failure
         for start in mine:
-            if start > failed_at:
-                return
             try:
                 fill(start)
             except BaseException as exc:

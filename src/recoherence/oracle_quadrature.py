@@ -61,8 +61,12 @@ _MAX_NODES = 2**22
 #: (orientation, velocity sign) of arm C1 and of the mirrored arm C2
 _LEGS = ((1.0, 1.0), (-1.0, -1.0))
 
-#: rounding floor of the refinement check, in units of the summed terms'
-#: magnitude: two budgets that differ by less differ by rounding alone
+#: rounding floor of the refinement check, in units of an evaluation's
+#: rounding scale (what a relative change eps of its summed terms moves it
+#: by, to first order): two budgets that differ by less differ by rounding
+#: alone.  Measured rounding gaps reached 0.95 of the scale for the
+#: quadratic forms at omega*T <= 10, 2.2 up to omega*T = 1e4, and 15 for
+#: the band integrals at t0 = 0 up to a centre of 3000
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -79,10 +83,10 @@ class QuadratureConfig:
     rel_tol, abs_tol : float
         Finite, positive thresholds of the refinement check: the base and
         the doubled resolution must agree within max(abs_tol, rel_tol*|value|)
-        or within rounding, a few eps times the magnitude of the summed
-        terms, whichever is larger.  So a tolerance set below rounding
-        noise does not fail a converged value; only an under-resolved rule
-        does.
+        or within rounding, a few eps times the first-order change that
+        rounding of the summed terms makes, whichever is larger.  So a
+        tolerance set below rounding noise does not fail a converged value;
+        only an under-resolved rule does.
     """
 
     nodes_per_period: int = 32
@@ -147,8 +151,9 @@ def _refined(
     """The value of evaluate(cfg), checked against the doubled budget when
     ``refine``.
 
-    ``evaluate`` returns the value and the magnitude of the terms summed
-    into it, which sets the rounding floor of the tolerance.
+    ``evaluate`` returns the value and its rounding scale, the first-order
+    change of the value when its summed terms change by a relative eps,
+    which sets the rounding floor of the tolerance.
     """
     cfg = cfg or _DEFAULT
     coarse, _ = evaluate(cfg)
@@ -217,10 +222,14 @@ def quad_coherence_shift(
     reproduces it within the configured tolerance.
 
     Accuracy at the default budget: about 1e-8 of the value up to
-    omega*T ~ 1e4.  Beyond that the refinement check no longer bounds the
-    error, because both budgets share the rounding of the phase and of the
-    cancelling line integral: at omega*T = 1e5 it accepts values off by
-    1e-5 to 5e-4 of the value (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
+    omega*T ~ 1e4 (at most 2.5e-8 at r = 1, R/T = 0.1).  L cancels like
+    1/(omega*T)^2 against its terms, so the rounding floor of the
+    refinement check grows like (omega*T)^2 relative to the value: 1e-9 to
+    1e-8 at omega*T = 1e3 and 3e-7 to 1.3e-6 at 1e4.  Beyond that the
+    check no longer bounds the error, because both budgets share the
+    rounding of the phase and of the cancelling line integral: at
+    omega*T = 1e5 it accepts values off by 1e-5 to 5e-4 of the value
+    (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """
     t0 = _finite_input("emission time", t0)
     mu, nu, eta = state.mu, state.nu, state.eta
@@ -235,9 +244,11 @@ def quad_coherence_shift(
             + eta * eta * line * bar
             + eta * eta * bar * line
         ) / scale
-        terms = 2.0 * (abs(mu * nu) + abs(eta) ** 2) * size * size / scale
+        # each of the four terms moves by 2*|coefficient|*|L|*dL when the
+        # rounding of L moves it by dL ~ eps*size
+        rounding = 4.0 * (abs(mu * nu) + abs(eta) ** 2) * abs(line) * size / scale
         value = _loop_value(total, "coherence-shift quadrature")
-        return value, math.pi * FINE_STRUCTURE * terms
+        return value, math.pi * FINE_STRUCTURE * rounding
 
     return _refined(evaluate, cfg, "coherence-shift quadrature", refine)
 
@@ -260,7 +271,7 @@ def quad_vacuum_term(
         bar = line.conjugate()
         total = (line * bar + bar * line) / scale
         value = _loop_value(total, "vacuum-term quadrature")
-        return value, math.pi * FINE_STRUCTURE * 2.0 * size * size / scale
+        return value, math.pi * FINE_STRUCTURE * 4.0 * abs(line) * size / scale
 
     return _refined(evaluate, cfg, "vacuum-term quadrature", refine)
 
@@ -282,7 +293,7 @@ def quad_envelope(
     def evaluate(c: QuadratureConfig) -> tuple[float, float]:
         line, size = _loop_line(mode, traj, 0.0, c)
         half = 0.5 * abs(line)
-        return half * half, 0.25 * size * size
+        return half * half, half * size
 
     return _refined(evaluate, cfg, "envelope quadrature", refine)
 

@@ -203,6 +203,23 @@ def test_high_frequency_oracle_matches_closed_forms():
     assert abs(vacuum - unitarity_sum(mode, traj).vacuum) <= 1e-6 * vacuum_scale
 
 
+def test_refinement_detects_starved_quadrature_at_high_frequency():
+    # omega*T = 1000: L cancels to ~8/(omega*T)^2 of sum |w*v|, so the
+    # rounding floor must scale with |L|, not with (sum |w*v|)^2; a
+    # two-point rule at 48 nodes per period is off by ~6e-6 of the value,
+    # above the default rel_tol and far above rounding.  The values are
+    # ~1e-10 here, so abs_tol is set below them
+    state, t0 = SqueezeState(1.0, 0.3), 0.3
+    mode, traj = _mode(1000.0), _traj()
+    cfg = QuadratureConfig(nodes_per_period=48, scheme="gl2", abs_tol=1e-30)
+    with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
+        quad_coherence_shift(state, mode, traj, t0, cfg)
+    with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
+        quad_vacuum_term(mode, traj, cfg)
+    with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
+        quad_envelope(mode, traj, cfg)
+
+
 def test_imaginary_residue_is_reported():
     assert _loop_value(complex(2.0, 1e-12), "probe") == -2.0 * math.pi * FINE_STRUCTURE
     with pytest.raises(ConvergenceError, match="probe: imaginary residue"):
