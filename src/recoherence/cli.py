@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .constants import SQUEEZE_CAP
-from .errors import ConvergenceError, DomainError, RangeError, _representable
+from .errors import ConvergenceError, DomainError, RangeError
+from .errors import _finite_input, _representable
 from .estimates import (
     CavityScenario,
     EmptySpaceScenario,
@@ -530,10 +531,12 @@ def _run_estimate(v: dict, output: str | None) -> int:
 def sweep(values: dict, output: str | None) -> int:
     """Cartesian sweep over the ``vary`` axes, row-major in axis order.
 
-    Each column is computed once at the shape of the axes it depends on
-    (``single_mode._table``) and each value formatted once.  The rows the
-    scalar path refuses with RangeError are range_error rows; the first it
-    refuses with DomainError ends the sweep with that error."""
+    Each value of r, theta, ratio-RT and t0-omega first goes once through
+    the check the scalar path makes of it, and the first it refuses with
+    DomainError ends the sweep.  Each column is then computed once at the
+    shape of the axes it depends on (``single_mode._table``) and each value
+    formatted once.  The rows the scalar path refuses with RangeError are
+    range_error rows."""
     names = [name for name, _ in values["vary"]]
     if len(names) > _MAX_AXES:
         raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(names)}")
@@ -546,37 +549,28 @@ def sweep(values: dict, output: str | None) -> int:
     inputs = {key: np.full((1,) * len(shape), values[key]) for key in _OPTIONS["sweep"]}
     inputs.update(zip(names, np.ix_(*(axis for _, axis in values["vary"]))))
     r, theta, omega, apex, ratio, t0_omega = inputs.values()
+    for value in r.flat:  # each value once through its scalar check, in table order
+        with contextlib.suppress(RangeError):  # above the cap: range_error rows
+            SqueezeState(value)
+    for value in theta.flat:
+        SqueezeState(0.0, value)
+    fast = [t for t in (Trajectory(a, 1.0) for a in apex.flat) if t.is_relativistic]
+    for value in t0_omega.flat:
+        _finite_input("emission time", value)
+    if fast:
+        _warn_relativistic(fast[0])
     volume = _each(_mode_volume, omega, ratio)
     with np.errstate(all="ignore"):
         t0 = t0_omega / omega
-    usable = (r >= 0.0) & (r <= SQUEEZE_CAP) & np.isfinite(theta)
-    cells = _table(
-        np.where(usable, r, 0.0), np.where(usable, theta, 0.0), omega, volume, apex, t0
+    capped = r > SQUEEZE_CAP
+    cells = _table(np.where(capped, 0.0, r), theta, omega, volume, apex, t0)
+    # the rows the scalar path refuses with RangeError; w_r = shift * g is
+    # not finite wherever the envelope M in the shift or the phase in g is not
+    range_error = np.broadcast_to(
+        capped | ~(np.isfinite(volume) & (volume > 0.0))
+        | ~(np.isfinite(cells["w_r"]) & np.isfinite(cells["contrast_factor"])),
+        shape,
     )
-    # the checks of the scalar path in its order; a row's first failure decides:
-    # DomainError at 0, 2, 4 ends the sweep, RangeError at 1, 3, 5 marks the row
-    checks = (
-        ~(np.isfinite(r) & np.isfinite(theta)) | (r < 0.0),
-        (r > SQUEEZE_CAP) | ~(np.isfinite(volume) & (volume > 0.0)),
-        ~(np.isfinite(apex) & (apex > 0.0)),
-        np.isfinite(t0_omega) & ~np.isfinite(t0) | ~np.isfinite(cells["envelope"]),
-        ~np.isfinite(t0),
-        ~(np.isfinite(cells["w_r"]) & np.isfinite(cells["contrast_factor"])),
-    )
-    stage = np.select([np.broadcast_to(c, shape) for c in checks], range(6), 6).ravel()
-    domain = np.isin(stage, (0, 2, 4))
-    first = int(domain.argmax()) if domain.any() else count - 1
-    flat = [np.broadcast_to(x, shape).flat for x in inputs.values()]
-    apexes = np.where(checks[2], 1.0, apex)  # rows with a bad apex stop before
-    fast = _each(lambda a: Trajectory(a, 1.0).is_relativistic, apexes) > 0
-    warned = ((stage >= 3) & np.broadcast_to(fast, shape).ravel())[: first + 1]
-    if warned.any():  # at the first row where the scalar path checks the speed
-        _warn_relativistic(Trajectory(flat[3][warned.argmax()], 1.0))
-    if domain[first]:  # the scalar path raises this row's DomainError
-        at = [float(x[first]) for x in flat]
-        state, mode = SqueezeState(at[0], at[1]), _mode_from(at[2], at[4])
-        coherence_shift(state, mode, Trajectory(at[3], 1.0), at[5] / mode.omega)
-    range_error = (stage % 2 == 1).reshape(shape)
     status = np.where(range_error, "range_error", np.where(r == 0, "degenerate", "ok"))
     fmt = np.frompyfunc(repr, 1, 1)  # each value once: along the first axis by block
     columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1])]

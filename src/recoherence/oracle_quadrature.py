@@ -12,26 +12,24 @@ squeezed mode the renormalized kernel is
     K_R(t, t') = (1/(V*omega)) * ( -mu*nu * e^{-i*omega*(t + t' + 2*t0)}
                                    + eta^2 * e^{-i*omega*(t - t')} + c.c. ),
 
-and for the vacuum reference term
-
-    K_0(t, t') = (1/(2*V*omega)) * ( e^{-i*omega*(t - t')} + c.c. ).
-
-Both kernels are sums of products of e^{-i*omega*t} and its conjugate
-(rank at most 4), so the double integral factorises through one complex
-line integral L = sum over legs of sign * int v_leg e^{-i*omega*(t+t0)} dt,
+and the vacuum reference kernel K_0 is its eta^2 term at eta^2 = 1/2.
+Both are sums of products of e^{-i*omega*t} and its conjugate (rank at
+most 4), so the double integral factorises through one complex line
+integral L = sum over legs of sign * int v_leg e^{-i*omega*(t+t0)} dt,
 arm C1 with orientation +1 and velocity +v, arm C2 with -1 and -v.  With
-Lb = conj(L) the squeezed term is (-mu*nu*L^2 - mu*conj(nu)*Lb^2
-+ eta^2*(L*Lb + Lb*L)) / (V*omega) and the vacuum term (L*Lb + Lb*L) /
-(2*V*omega) at t0 = 0: time and memory are linear in the node count.
+Lb = conj(L) and s = -mu*nu either term is (s*L^2 + conj(s)*Lb^2
++ eta^2*(L*Lb + Lb*L)) / (V*omega), with s = 0, eta^2 = 1/2 and t0 = 0
+for the vacuum: time and memory are linear in the node count.
 
 Integrals use composite Gauss-Legendre panels sized by a nodes-per-period
 budget, at most _MAX_NODES nodes per evaluation.  Every public entry point
-re-evaluates at doubled resolution and raises ConvergenceError when the two
-disagree beyond the configured tolerance, so a silently under-resolved
-oscillation cannot masquerade as agreement; an imaginary residue left by a
-mis-assembled kernel raises it too.  Sums are numpy's pairwise ``np.sum``,
-whose order no BLAS thread count changes (a BLAS dot splits across
-threads), making results bit-reproducible on a given platform.
+but quad_coherence_shift_separable re-evaluates at doubled resolution and
+raises ConvergenceError when the two disagree beyond the configured
+tolerance, so a silently under-resolved oscillation cannot masquerade as
+agreement; an imaginary residue left by a mis-assembled kernel raises it
+too.  Sums are numpy's pairwise ``np.sum``, whose order no BLAS thread
+count changes (a BLAS dot splits across threads), making results
+bit-reproducible on a given platform.
 """
 
 from __future__ import annotations
@@ -65,9 +63,13 @@ _LEGS = ((1.0, 1.0), (-1.0, -1.0))
 #: rounding scale (what a relative change eps of its summed terms moves it
 #: by, to first order): two budgets that differ by less differ by rounding
 #: alone.  Measured rounding gaps reached 0.95 of the scale for the
-#: quadratic forms at omega*T <= 10, 2.2 up to omega*T = 1e4, and 15 for
-#: the band integrals at t0 = 0 up to a centre of 3000
+#: quadratic forms at omega*T <= 10, 2.2 up to omega*T = 1e4, and 0.03 for
+#: the band integrals up to a centre of 3000 (their scale counts the
+#: rounding of the integrand's phase)
 _ROUNDING = 16.0 * np.finfo(float).eps
+
+#: what the errors of the two loop forms name
+_SHIFT, _VACUUM = "coherence-shift quadrature", "vacuum-term quadrature"
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,11 @@ class QuadratureConfig:
         or within rounding, a few eps times the first-order change that
         rounding of the summed terms makes, whichever is larger.  So a
         tolerance set below rounding noise does not fail a converged value;
-        only an under-resolved rule does.
+        only an under-resolved rule does.  ``abs_tol`` is absolute, and loop
+        values scale like 1/(V*omega): about 4e-10 at omega*T = 1000 and
+        R/T = 0.1.  There the default accepts gaps of 2.4e-5 of the value
+        (2e-3 at omega*T = 1e4), so certifying 1e-8 needs an abs_tol
+        below 1e-8 of the value.
     """
 
     nodes_per_period: int = 32
@@ -146,10 +152,8 @@ def _refined(
     evaluate: Callable[[QuadratureConfig], tuple[float, float]],
     cfg: QuadratureConfig | None,
     what: str,
-    refine: bool,
 ) -> float:
-    """The value of evaluate(cfg), checked against the doubled budget when
-    ``refine``.
+    """The value of evaluate(cfg), checked against the doubled budget.
 
     ``evaluate`` returns the value and its rounding scale, the first-order
     change of the value when its summed terms change by a relative eps,
@@ -157,8 +161,6 @@ def _refined(
     """
     cfg = cfg or _DEFAULT
     coarse, _ = evaluate(cfg)
-    if not refine:
-        return coarse
     fine, size = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(fine), _ROUNDING * size)
     if abs(fine - coarse) > tol:
@@ -169,11 +171,6 @@ def _refined(
     return fine
 
 
-def _mode_oscillations(mode: ModeSpec, traj: Trajectory) -> float:
-    # periods of e^{i*omega*t} across the flight interval [-T, T]
-    return mode.omega * traj.half_time / math.pi
-
-
 def _loop_line(
     mode: ModeSpec, traj: Trajectory, t0: float, cfg: QuadratureConfig
 ) -> tuple[complex, float]:
@@ -182,9 +179,8 @@ def _loop_line(
 
     The legs share the nodes: one line integral times their summed signs.
     """
-    t, w = _panel_nodes(
-        -traj.half_time, traj.half_time, _mode_oscillations(mode, traj), cfg
-    )
+    periods = mode.omega * traj.half_time / math.pi  # of e^{i*omega*t} in [-T, T]
+    t, w = _panel_nodes(-traj.half_time, traj.half_time, periods, cfg)
     wv = w * traj.velocity(t)
     line = complex(np.sum(wv * np.exp(-1j * mode.omega * (t + t0))))
     legs = sum(sign * direction for sign, direction in _LEGS)
@@ -206,20 +202,53 @@ def _loop_value(total: complex, what: str) -> float:
     return -math.pi * FINE_STRUCTURE * total.real
 
 
+def _loop_form(
+    s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float, what: str
+) -> Callable[[QuadratureConfig], tuple[float, float]]:
+    """evaluate(cfg): -pi*alpha * (s*L^2 + conj(s)*Lb^2 + d*(L*Lb + Lb*L))
+    / (V*omega) at one budget, and its rounding scale.
+
+    The squeezed kernel K_R has (s, d) = (-mu*nu, eta^2); the vacuum kernel
+    K_0 is its eta^2 term at eta^2 = 1/2, so (s, d) = (0, 1/2) at t0 = 0.
+    """
+    scale = mode.volume * mode.omega
+
+    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
+        line, size = _loop_line(mode, traj, t0, c)
+        bar = line.conjugate()
+        total = s * line * line + s.conjugate() * bar * bar
+        total = (total + d * line * bar + d * bar * line) / scale
+        # each of the four terms moves by 2*|coefficient|*|L|*dL when the
+        # rounding of L moves it by dL ~ eps*size
+        rounding = 4.0 * (abs(s) + abs(d)) * abs(line) * size / scale
+        return _loop_value(total, what), math.pi * FINE_STRUCTURE * rounding
+
+    return evaluate
+
+
+def _shift_form(state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float):
+    """_loop_form of the squeezed kernel K_R at emission time t0."""
+    eta, t0 = state.eta, _finite_input("emission time", t0)
+    return _loop_form(-state.mu * state.nu, eta * eta, mode, traj, t0, _SHIFT)
+
+
+def _vacuum_form(mode: ModeSpec, traj: Trajectory):
+    """_loop_form of the vacuum kernel K_0."""
+    return _loop_form(0.0, 0.5, mode, traj, 0.0, _VACUUM)
+
+
 def quad_coherence_shift(
     state: SqueezeState,
     mode: ModeSpec,
     traj: Trajectory,
     t0: float,
     cfg: QuadratureConfig | None = None,
-    refine: bool = True,
 ) -> float:
     """Single-mode coherence shift from the raw loop double integral.
 
     Independent route to the closed form: the four terms of the squeezed
-    kernel K_R contracted with the loop line integral L.  With ``refine``
-    (default) the result is accepted only if doubling the node budget
-    reproduces it within the configured tolerance.
+    kernel K_R contracted with the loop line integral L, accepted only if
+    doubling the node budget reproduces it within the configured tolerance.
 
     Accuracy at the default budget: about 1e-8 of the value up to
     omega*T ~ 1e4 (at most 2.5e-8 at r = 1, R/T = 0.1).  L cancels like
@@ -231,56 +260,26 @@ def quad_coherence_shift(
     omega*T = 1e5 it accepts values off by 1e-5 to 5e-4 of the value
     (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """
-    t0 = _finite_input("emission time", t0)
-    mu, nu, eta = state.mu, state.nu, state.eta
-    scale = mode.volume * mode.omega
-
-    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
-        line, size = _loop_line(mode, traj, t0, c)
-        bar = line.conjugate()
-        total = (
-            -mu * nu * line * line
-            + -mu * nu.conjugate() * bar * bar
-            + eta * eta * line * bar
-            + eta * eta * bar * line
-        ) / scale
-        # each of the four terms moves by 2*|coefficient|*|L|*dL when the
-        # rounding of L moves it by dL ~ eps*size
-        rounding = 4.0 * (abs(mu * nu) + abs(eta) ** 2) * abs(line) * size / scale
-        value = _loop_value(total, "coherence-shift quadrature")
-        return value, math.pi * FINE_STRUCTURE * rounding
-
-    return _refined(evaluate, cfg, "coherence-shift quadrature", refine)
+    return _refined(_shift_form(state, mode, traj, t0), cfg, _SHIFT)
 
 
 def quad_vacuum_term(
     mode: ModeSpec,
     traj: Trajectory,
     cfg: QuadratureConfig | None = None,
-    refine: bool = True,
 ) -> float:
     """Vacuum coherence loss of one mode from the raw loop double integral.
 
     The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    scale = 2.0 * mode.volume * mode.omega
-
-    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
-        line, size = _loop_line(mode, traj, 0.0, c)
-        bar = line.conjugate()
-        total = (line * bar + bar * line) / scale
-        value = _loop_value(total, "vacuum-term quadrature")
-        return value, math.pi * FINE_STRUCTURE * 4.0 * abs(line) * size / scale
-
-    return _refined(evaluate, cfg, "vacuum-term quadrature", refine)
+    return _refined(_vacuum_form(mode, traj), cfg, _VACUUM)
 
 
 def quad_envelope(
     mode: ModeSpec,
     traj: Trajectory,
     cfg: QuadratureConfig | None = None,
-    refine: bool = True,
 ) -> float:
     """Mode envelope M as the squared overlap of velocity and sin(omega*t).
 
@@ -295,7 +294,7 @@ def quad_envelope(
         half = 0.5 * abs(line)
         return half * half, half * size
 
-    return _refined(evaluate, cfg, "envelope quadrature", refine)
+    return _refined(evaluate, cfg, "envelope quadrature")
 
 
 def quad_coherence_shift_separable(
@@ -305,8 +304,12 @@ def quad_coherence_shift_separable(
     t0: float,
     cfg: QuadratureConfig | None = None,
 ) -> float:
-    """Coherence shift at the base budget, without the refinement check."""
-    return quad_coherence_shift(state, mode, traj, t0, cfg, refine=False)
+    """Coherence shift at the base budget alone, without the refinement check.
+
+    The unchecked half of quad_coherence_shift, kept because perfbench
+    times it and its reference checks compare it with the checked value.
+    """
+    return _shift_form(state, mode, traj, t0)(cfg or _DEFAULT)[0]
 
 
 def integrate_oscillatory(
@@ -315,23 +318,25 @@ def integrate_oscillatory(
     hi: float,
     oscillations: float,
     cfg: QuadratureConfig | None = None,
-    refine: bool = True,
 ) -> float:
     """Composite Gauss-Legendre integral of a vectorised real integrand.
 
     ``oscillations`` is the number of full periods of the fastest
     oscillation across [lo, hi]; it sizes the panels against the
-    nodes-per-period budget.  With ``refine`` the node budget is doubled
-    and disagreement beyond tolerance raises ConvergenceError.
+    nodes-per-period budget.  The node budget is then doubled, and
+    disagreement beyond tolerance raises ConvergenceError.  The rounding
+    floor of that check counts the rounding of f's own phase, which at x
+    is about eps * 2*pi*oscillations*|x|/(hi - lo) relative.
     """
-    _finite_input("integration interval length hi - lo", hi - lo, positive=True)
+    width = _finite_input("integration interval length hi - lo", hi - lo, positive=True)
+    phase_factor = 1.0 + 2.0 * math.pi * oscillations * max(abs(lo), abs(hi)) / width
 
     def evaluate(c: QuadratureConfig) -> tuple[float, float]:
         x, w = _panel_nodes(lo, hi, oscillations, c)
         terms = w * f(x)
-        return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+        return float(np.sum(terms)), phase_factor * float(np.sum(np.abs(terms)))
 
-    return _refined(evaluate, cfg, "oscillatory integral", refine)
+    return _refined(evaluate, cfg, "oscillatory integral")
 
 
 __all__ = [

@@ -119,6 +119,18 @@ def test_oracle_tolerance_below_rounding_accepts_a_converged_grid(run_cli):
     assert tiny.stdout == default.stdout
 
 
+def test_band_tolerance_below_rounding_accepts_a_converged_integral(run_cli):
+    # the integrand's phase 2*omega*t0 rounds at ~eps*60 and j2(omega*T) at
+    # ~eps*3000, so the budgets differ by ~45 eps of the terms' sum; the
+    # rounding floor counts that phase and no tolerance may turn it into exit 2
+    argv = ("band", "--omega-bar-T", "3000", "--t0-omega", "30",
+            "--delta-omega-ratio", "0.01")
+    default = run_cli(*argv)
+    tiny = run_cli(*argv, "--rel-tol", "1e-300", "--abs-tol", "1e-160")
+    assert tiny.returncode == 0, tiny.stderr
+    assert tiny.stdout == default.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

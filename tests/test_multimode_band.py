@@ -8,8 +8,10 @@ import pytest
 
 from recoherence import (
     BandSpec,
+    ConvergenceError,
     DomainError,
     ModeSpec,
+    QuadratureConfig,
     RangeError,
     SqueezeState,
     Trajectory,
@@ -54,6 +56,37 @@ def test_t0_resolved_frozen_value():
     state, band, traj = _setup()
     got = band_coherence_shift_exact(state, band, traj, window_averaged=False, t0=0.3)
     assert math.isclose(got, T0_RESOLVED_AT_03, rel_tol=1e-9)
+
+
+def test_band_rounding_floor_stays_below_the_value(monkeypatch):
+    # band --omega-bar-T 3000 --t0-omega 30 --delta-omega-ratio 0.01: the
+    # rounding floor counts the rounding of the integrand's phase, ~6e3 x
+    # the sum of its terms, yet stays <= 1e-10 of the value, so tolerances
+    # below rounding pass the converged rule and fail a starved one or a
+    # doubled budget moved by 1e-10
+    state, traj = SqueezeState(1.0), Trajectory(apex=0.1, half_time=1.0)
+    band = BandSpec(center=3000.0, half_width=30.0, solid_angle=0.1)
+    tiny = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
+    args = (state, band, traj, False, 0.01)
+    want = band_coherence_shift_exact(*args)
+    assert band_coherence_shift_exact(*args, cfg=tiny) == want
+    starved = QuadratureConfig(16, "gl2", rel_tol=1e-300, abs_tol=1e-300)
+    with pytest.raises(ConvergenceError, match="did not stabilise"):
+        band_coherence_shift_exact(*args, cfg=starved)
+    real = multimode_band.integrate_oscillatory
+
+    def nudged(f, lo, hi, oscillations, cfg):
+        calls = []
+
+        def doubled_moved(x):  # the second call is the doubled budget
+            calls.append(x)
+            return f(x) * (1.0 + 1e-10 * (len(calls) == 2))
+
+        return real(doubled_moved, lo, hi, oscillations, cfg)
+
+    monkeypatch.setattr(multimode_band, "integrate_oscillatory", nudged)
+    with pytest.raises(ConvergenceError, match="did not stabilise"):
+        band_coherence_shift_exact(*args, cfg=tiny)
 
 
 def test_windowed_shift_is_positive_for_squeezed_bands():

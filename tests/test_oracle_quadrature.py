@@ -20,7 +20,12 @@ from recoherence import (
     unitarity_sum,
 )
 from recoherence.constants import FINE_STRUCTURE
-from recoherence.oracle_quadrature import _loop_value, _MAX_NODES, _panel_nodes
+from recoherence.oracle_quadrature import (
+    _loop_value,
+    _MAX_NODES,
+    _panel_nodes,
+    _vacuum_form,
+)
 
 # frozen from 30-digit mpmath quadrature of the vacuum loop integral at
 # omega = pi, volume = 1, apex = half_time = 1
@@ -83,10 +88,11 @@ def test_quadrature_matches_closed_form(omega, r, theta, t0):
     closed = coherence_shift(state, mode, traj, t0).value
     direct = quad_coherence_shift(state, mode, traj, t0)
     assert math.isclose(direct, closed, rel_tol=1e-8, abs_tol=1e-30)
-    # the O(N) line-integral route against the literal N x N assembly
-    line = quad_coherence_shift(state, mode, traj, t0, refine=False)
+    # the O(N) line-integral route against the literal N x N assembly, node
+    # for node at the base budget
+    line = quad_coherence_shift_separable(state, mode, traj, t0)
     assert math.isclose(line, _tensor_shift(state, mode, traj, t0), rel_tol=1e-12)
-    vacuum = quad_vacuum_term(mode, traj, refine=False)
+    vacuum, _ = _vacuum_form(mode, traj)(QuadratureConfig())
     assert math.isclose(vacuum, _tensor_vacuum(mode, traj), rel_tol=1e-12)
 
 
@@ -129,8 +135,8 @@ def test_refinement_detects_starved_quadrature():
     cfg = QuadratureConfig(nodes_per_period=16, scheme="gl2")
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
         quad_coherence_shift(state, mode, traj, 0.0, cfg)
-    # the same budget is accepted when the refinement check is waived
-    value = quad_coherence_shift(state, mode, traj, 0.0, cfg, refine=False)
+    # the base budget alone, unchecked, is the separable route
+    value = quad_coherence_shift_separable(state, mode, traj, 0.0, cfg)
     assert math.isfinite(value)
 
 
@@ -141,7 +147,7 @@ def test_error_decreases_with_node_budget():
 
     def err(npp):
         cfg = QuadratureConfig(nodes_per_period=npp, scheme="gl2")
-        got = quad_coherence_shift(state, mode, traj, 0.05, cfg, refine=False)
+        got = quad_coherence_shift_separable(state, mode, traj, 0.05, cfg)
         return abs(got - closed)
 
     coarse, fine = err(16), err(128)
@@ -232,6 +238,6 @@ def test_node_cap_rejected_before_allocation():
     over = math.nextafter(_MAX_NODES / 32.0, math.inf)
     for oscillations in (1e300, math.inf, math.nan, over):
         with pytest.raises(DomainError, match=f"above the cap of {_MAX_NODES}"):
-            integrate_oscillatory(np.sin, 0.0, 1.0, oscillations, refine=False)
+            integrate_oscillatory(np.sin, 0.0, 1.0, oscillations)
     with pytest.raises(DomainError, match="nodes"):
         quad_coherence_shift(SqueezeState(1.0), _mode(1e6), _traj(), 0.0)

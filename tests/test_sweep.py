@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from recoherence import (
     DomainError,
+    ModeSpec,
     RangeError,
     SqueezeState,
     Trajectory,
@@ -50,11 +51,37 @@ def test_sweep_bytes_are_frozen(tmp_path):
 
 def _scalar_sweep(values, axes):
     """Exit code, stdout and stderr of the sweep, one row at a time through
-    the scalar library calls: the reference the array path must match."""
+    the scalar library calls: the reference the array path must match.
+
+    Each value of r, theta, ratio-RT and t0-omega first goes once through
+    the scalar check of it, in table order; a DomainError there ends the
+    sweep before any row or warning."""
+    each = {key: dict(axes).get(key, [value]) for key, value in values.items()}
+    try:
+        for r in each["r"]:
+            try:
+                SqueezeState(r)
+            except RangeError:  # above the cap: range_error rows
+                pass
+        for theta in each["theta"]:
+            SqueezeState(0.0, theta)
+        trajs = [Trajectory(apex, 1.0) for apex in each["ratio-RT"]]
+        for t0_omega in each["t0-omega"]:
+            try:
+                modulation(SqueezeState(0.0), ModeSpec(1.0, 1.0), t0_omega)
+            except RangeError:  # an emission phase past double precision
+                pass
+    except DomainError as exc:
+        return 1, "", f"recoherence: error: {exc}\n"
+    fast = [traj.max_speed for traj in trajs if traj.is_relativistic]
+    warned = fast and (
+        f"warning: trajectory peak speed {fast[0]:.6g} exceeds 1 "
+        "(units with c = 1); results are formal\n"
+    )
     points = [{}]
     for name, axis in axes:
         points = [{**point, name: value} for point in points for value in axis]
-    lines, warned = [",".join(cli._SWEEP_HEADER)], ""
+    lines = [",".join(cli._SWEEP_HEADER)]
     for point in points:
         v = {**values, **point}
         inputs = [repr(v[key]) for key in cli._OPTIONS["sweep"]]
@@ -62,11 +89,6 @@ def _scalar_sweep(values, axes):
             state = SqueezeState(v["r"], v["theta"])
             mode = cli._mode_from(v["omega-bar-T"], v["lambda3-over-V"])
             traj = Trajectory(v["ratio-RT"], 1.0)
-            if traj.is_relativistic and not warned:
-                warned = (
-                    f"warning: trajectory peak speed {traj.max_speed:.6g} exceeds 1 "
-                    "(units with c = 1); results are formal\n"
-                )
             t0 = cli._emission_time(v["t0-omega"], mode.omega)
             result = coherence_shift(state, mode, traj, t0)
             window = emission_window(state, mode)
@@ -87,10 +109,8 @@ def _scalar_sweep(values, axes):
             cells.append("degenerate" if window.degenerate else "ok")
         except RangeError:
             cells = ["nan"] * 8 + ["range_error"]
-        except DomainError as exc:
-            return 1, "", f"{warned}recoherence: error: {exc}\n"
         lines.append(",".join(inputs + cells))
-    return 0, "\n".join(lines) + "\n", warned
+    return 0, "\n".join(lines) + "\n", warned or ""
 
 
 def _log_uniform(lo, hi):
@@ -135,9 +155,12 @@ _DEFAULTS = {key: default for key, (_, default, _) in cli._OPTIONS["sweep"].item
 
 @settings(max_examples=80, deadline=None)
 @given(_sweeps())
-# the order of the checks: the envelope before the emission time, the cap
-# before the apex, and the speed warning only up to the refused row; an
-# emission phase 2*omega*t0 past double precision is a range_error row
+# every value is checked before any row: a refused value exits 1 without
+# the speed warning, even behind a capped r; an emission phase 2*omega*t0
+# past double precision is a range_error row
+@example(({**_DEFAULTS, "ratio-RT": -1.0, "r": 351.0}, []))
+@example(({**_DEFAULTS, "r": 351.0, "t0-omega": math.nan}, []))
+@example(({**_DEFAULTS, "ratio-RT": 1e160, "t0-omega": math.nan}, []))
 @example(({**_DEFAULTS, "ratio-RT": 1e160}, [("t0-omega", [0.0, math.nan])]))
 @example((_DEFAULTS, [("t0-omega", [0.0, 1e308])]))
 @example(({**_DEFAULTS, "ratio-RT": -1.0}, [("r", [351.0, 1.0])]))
