@@ -129,7 +129,6 @@ _GRIDS = {
 _QUAD_OPTIONS = {
     "nodes-per-period": (_INTEGER, 32, "Gauss-Legendre nodes per oscillation period"),
     "rel-tol": (_NUMBER, 1e-8, "relative tolerance of the refinement check"),
-    "abs-tol": (_NUMBER, 1e-14, "absolute tolerance floor of the refinement check"),
 }
 
 _STATE_OPTIONS = {
@@ -343,7 +342,6 @@ def _quad_config(values: dict) -> QuadratureConfig:
     return QuadratureConfig(
         nodes_per_period=values["nodes-per-period"],
         rel_tol=values["rel-tol"],
-        abs_tol=values["abs-tol"],
     )
 
 

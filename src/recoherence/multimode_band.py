@@ -202,10 +202,9 @@ def band_coherence_shift_exact(
 
     span = traj.half_time if window_averaged else traj.half_time + abs(t0)
     lo, hi = band.edges
-    integral = integrate_oscillatory(
+    return integrate_oscillatory(
         integrand, lo, hi, 2.0 * band.half_width * span / math.pi, cfg
     )
-    return _finite_result(integral, "band coherence shift")
 
 
 def band_coherence_shift_leading(
@@ -283,8 +282,9 @@ def mode_sum_oracle(
         )
         block *= _modulation(state.r, state.theta, omegas, t0)
 
-    _each_block(fill, n)
-    return _finite_result(float(np.sum(shifts)), "mode sum")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
+        _each_block(fill, n)
+        return _finite_result(float(np.sum(shifts)), "mode sum")
 
 
 __all__ = [

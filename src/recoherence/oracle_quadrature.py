@@ -43,6 +43,7 @@ import numpy as np
 
 from .constants import FINE_STRUCTURE
 from .errors import ConvergenceError, DomainError, _count_input, _finite_input
+from .errors import _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 
@@ -74,7 +75,7 @@ _SHIFT, _VACUUM = "coherence-shift quadrature", "vacuum-term quadrature"
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution and tolerances of the composite Gauss-Legendre rule.
+    """Resolution and tolerance of the composite Gauss-Legendre rule.
 
     Parameters
     ----------
@@ -82,23 +83,17 @@ class QuadratureConfig:
         Node budget per oscillation period of the integrand; at least 16.
     scheme : str
         Fixed panel order: one of "gl2", "gl4", "gl8", "gl16".
-    rel_tol, abs_tol : float
-        Finite, positive thresholds of the refinement check: the base and
-        the doubled resolution must agree within max(abs_tol, rel_tol*|value|)
-        or within rounding, a few eps times the first-order change that
-        rounding of the summed terms makes, whichever is larger.  So a
-        tolerance set below rounding noise does not fail a converged value;
-        only an under-resolved rule does.  ``abs_tol`` is absolute, and loop
-        values scale like 1/(V*omega): about 4e-10 at omega*T = 1000 and
-        R/T = 0.1.  There the default accepts gaps of 2.4e-5 of the value
-        (2e-3 at omega*T = 1e4), so certifying 1e-8 needs an abs_tol
-        below 1e-8 of the value.
+    rel_tol : float
+        Finite, positive target of the refinement check: the base and the
+        doubled resolution must agree within rel_tol*|value| or within
+        rounding, a few eps times the first-order change that rounding of
+        the summed terms makes, whichever is larger.  Nothing is absolute,
+        and a rel_tol below rounding does not fail a converged value.
     """
 
     nodes_per_period: int = 32
     scheme: str = "gl8"
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-14
 
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEME_ORDER:
@@ -108,9 +103,8 @@ class QuadratureConfig:
             )
         nodes = _count_input("nodes_per_period", self.nodes_per_period, 16)
         object.__setattr__(self, "nodes_per_period", nodes)
-        for name in ("rel_tol", "abs_tol"):
-            value = _finite_input(name, getattr(self, name), positive=True)
-            object.__setattr__(self, name, value)
+        rel_tol = _finite_input("rel_tol", self.rel_tol, positive=True)
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 _DEFAULT = QuadratureConfig()
@@ -157,13 +151,16 @@ def _refined(
 
     ``evaluate`` returns the value and its rounding scale, the first-order
     change of the value when its summed terms change by a relative eps,
-    which sets the rounding floor of the tolerance.
+    which sets the rounding floor of the tolerance.  RangeError when the
+    value leaves double precision; a nan gap fails the check.
     """
     cfg = cfg or _DEFAULT
-    coarse, _ = evaluate(cfg)
-    fine, size = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(fine), _ROUNDING * size)
-    if abs(fine - coarse) > tol:
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        coarse, _ = evaluate(cfg)
+        fine, size = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
+    _finite_result(fine, what)
+    tol = max(cfg.rel_tol * abs(fine), _ROUNDING * size)
+    if not abs(fine - coarse) <= tol:
         raise ConvergenceError(
             f"{what} did not stabilise under refinement: "
             f"{coarse!r} (base) vs {fine!r} (doubled), tolerance {tol:g}"
@@ -250,13 +247,11 @@ def quad_coherence_shift(
     kernel K_R contracted with the loop line integral L, accepted only if
     doubling the node budget reproduces it within the configured tolerance.
 
-    Accuracy at the default budget: about 1e-8 of the value up to
-    omega*T ~ 1e4 (at most 2.5e-8 at r = 1, R/T = 0.1).  L cancels like
-    1/(omega*T)^2 against its terms, so the rounding floor of the
-    refinement check grows like (omega*T)^2 relative to the value: 1e-9 to
-    1e-8 at omega*T = 1e3 and 3e-7 to 1.3e-6 at 1e4.  Beyond that the
-    check no longer bounds the error, because both budgets share the
-    rounding of the phase and of the cancelling line integral: at
+    Accuracy: the check holds the value to rel_tol (1e-8 by default) or to
+    its rounding floor, which grows like (omega*T)^2 relative to the value
+    as L cancels against its terms: 1e-9 to 1e-8 at omega*T = 1e3, 3e-7
+    to 1.3e-6 at 1e4.  Beyond that the check no longer bounds the error:
+    both budgets share the rounding of the phase and of L, and at
     omega*T = 1e5 it accepts values off by 1e-5 to 5e-4 of the value
     (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """

@@ -121,11 +121,11 @@ def _envelope(s, apex):
 def _checked_envelope(omega, traj: Trajectory):
     """M of one trajectory at a scalar or an array omega; RangeError once an
     M leaves double precision (M >= 0, so the largest decides)."""
-    s = j2_over_x(omega * traj.half_time)
-    if isinstance(s, float):
+    if isinstance(omega, float):
+        s = j2_over_x(omega * traj.half_time)
         return _finite_result(_envelope(s, traj.apex), "mode envelope")
     with np.errstate(over="ignore"):
-        m = _envelope(s, traj.apex)
+        m = _envelope(j2_over_x(omega * traj.half_time), traj.apex)
     _finite_result(m.max(), "mode envelope")
     return m
 

@@ -81,7 +81,8 @@ class ModeSpec:
     """One quantised field mode: angular frequency and quantisation volume.
 
     Natural units (hbar = c = 1): ``omega`` carries inverse length,
-    ``volume`` length cubed.
+    ``volume`` length cubed.  Shifts divide by omega*volume: a product that
+    rounds to 0 raises RangeError, an infinite one gives shifts of 0.
     """
 
     omega: float
@@ -90,6 +91,11 @@ class ModeSpec:
     def __post_init__(self) -> None:
         omega = _finite_input("mode frequency", self.omega, positive=True)
         volume = _finite_input("quantisation volume", self.volume, positive=True)
+        if omega * volume == 0.0:
+            raise RangeError(
+                f"mode frequency {omega!r} times quantisation volume {volume!r} "
+                "underflows double precision"
+            )
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "volume", volume)
 

@@ -1,7 +1,9 @@
-"""The public names and the parameter names of every public callable, frozen.
+"""The public names, the parameter names of every public callable and the
+option names of every CLI subcommand, frozen.
 
-A change here is a change of the API: rename, add or drop a name or a
-keyword deliberately, then update this table and README's "Removed names".
+A change here is a change of the API: rename, add or drop a name, a
+keyword or a flag deliberately, then update these tables and README's
+"Removed names".
 """
 
 import inspect
@@ -33,7 +35,7 @@ _API = {
     ),
     "band_coherence_shift_leading": ("state", "band", "traj"),
     "mode_sum_oracle": ("state", "band", "traj", "n_modes", "t0"),
-    "QuadratureConfig": ("nodes_per_period", "scheme", "rel_tol", "abs_tol"),
+    "QuadratureConfig": ("nodes_per_period", "scheme", "rel_tol"),
     "quad_coherence_shift": ("state", "mode", "traj", "t0", "cfg"),
     "quad_vacuum_term": ("mode", "traj", "cfg"),
     "quad_envelope": ("mode", "traj", "cfg"),
@@ -64,10 +66,35 @@ _API = {
 
 _CLI = {"ConfigError": None, "main": ("argv",), "sweep": ("values", "output")}
 
+# subcommand -> its options, each a --flag and an INI key; ``kind`` is the
+# one positional
+_CLI_OPTIONS = {
+    "single-mode": (
+        "r", "theta", "omega-bar-T", "ratio-RT", "lambda3-over-V", "t0-grid",
+    ),
+    "band": (
+        "r", "theta", "omega-bar-T", "ratio-RT", "delta-omega-ratio",
+        "solid-angle", "t0-omega", "n-modes", "nodes-per-period", "rel-tol",
+    ),
+    "oracle": ("grid", "ratio-RT", "nodes-per-period", "rel-tol"),
+    "estimate": (
+        "kind", "ratio-RT", "lambda3-over-V", "R-over-lambda",
+        "delta-omega-ratio", "solid-angle", "omega-bar-T",
+    ),
+    "sweep": (
+        "r", "theta", "omega-bar-T", "ratio-RT", "lambda3-over-V", "t0-omega",
+    ),
+}
+
 
 def test_public_names_are_frozen():
     assert recoherence.__all__ == list(_API)
     assert cli.__all__ == list(_CLI)
+
+
+def test_cli_option_names_are_frozen():
+    got = [(command, tuple(table)) for command, table in cli._OPTIONS.items()]
+    assert got == list(_CLI_OPTIONS.items())
 
 
 _ALL = [(recoherence, name, params) for name, params in _API.items()] + [

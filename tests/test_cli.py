@@ -114,7 +114,7 @@ def test_oracle_tolerance_below_rounding_accepts_a_converged_grid(run_cli):
     # the two budgets of the quick grid differ by rounding alone (2 ulp at
     # omega_bar_T=3.34, r=1, t0=0), which no tolerance may turn into exit 2
     default = run_cli("oracle", "--grid", "quick")
-    tiny = run_cli("oracle", "--grid", "quick", "--rel-tol", "1e-300", "--abs-tol", "1e-160")
+    tiny = run_cli("oracle", "--grid", "quick", "--rel-tol", "1e-300")
     assert tiny.returncode == 0, tiny.stderr
     assert tiny.stdout == default.stdout
 
@@ -126,7 +126,7 @@ def test_band_tolerance_below_rounding_accepts_a_converged_integral(run_cli):
     argv = ("band", "--omega-bar-T", "3000", "--t0-omega", "30",
             "--delta-omega-ratio", "0.01")
     default = run_cli(*argv)
-    tiny = run_cli(*argv, "--rel-tol", "1e-300", "--abs-tol", "1e-160")
+    tiny = run_cli(*argv, "--rel-tol", "1e-300")
     assert tiny.returncode == 0, tiny.stderr
     assert tiny.stdout == default.stdout
 
@@ -535,7 +535,6 @@ _BAD_VALUES = [
     ["band", "--t0-omega", "nan"],
     ["band", "--rel-tol", "inf"],
     ["band", "--rel-tol", "nan"],
-    ["band", "--abs-tol", "0"],
     ["band", "--nodes-per-period", "8"],
     ["band", "--delta-omega-ratio", "1"],
     ["band", "--delta-omega-ratio", "1.5"],
@@ -559,6 +558,20 @@ def test_bad_value_exits_one(run_cli, argv):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith(("recoherence: error:", "recoherence: config error:"))
+
+
+@pytest.mark.parametrize("command", ["band", "oracle"])
+def test_abs_tol_is_refused(capsys, tmp_path, command):
+    # the refinement check's floor comes from rounding and it takes no
+    # absolute tolerance, so abs-tol is an unknown flag and INI key
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\nabs-tol = 1e-14\n", encoding="utf-8")
+    for argv in ([command, "--abs-tol", "1e-14"], [command, "--config", str(ini)]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("recoherence: config error:")
 
 
 def test_sweep_point_above_squeeze_cap_is_a_range_error_row(run_cli):

@@ -66,11 +66,11 @@ def test_band_rounding_floor_stays_below_the_value(monkeypatch):
     # doubled budget moved by 1e-10
     state, traj = SqueezeState(1.0), Trajectory(apex=0.1, half_time=1.0)
     band = BandSpec(center=3000.0, half_width=30.0, solid_angle=0.1)
-    tiny = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300)
+    tiny = QuadratureConfig(rel_tol=1e-300)
     args = (state, band, traj, False, 0.01)
     want = band_coherence_shift_exact(*args)
     assert band_coherence_shift_exact(*args, cfg=tiny) == want
-    starved = QuadratureConfig(16, "gl2", rel_tol=1e-300, abs_tol=1e-300)
+    starved = QuadratureConfig(16, "gl2", rel_tol=1e-300)
     with pytest.raises(ConvergenceError, match="did not stabilise"):
         band_coherence_shift_exact(*args, cfg=starved)
     real = multimode_band.integrate_oscillatory

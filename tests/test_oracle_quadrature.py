@@ -8,6 +8,7 @@ from recoherence import (
     DomainError,
     ModeSpec,
     QuadratureConfig,
+    RangeError,
     SqueezeState,
     Trajectory,
     coherence_shift,
@@ -24,6 +25,7 @@ from recoherence.oracle_quadrature import (
     _loop_value,
     _MAX_NODES,
     _panel_nodes,
+    _refined,
     _vacuum_form,
 )
 
@@ -178,8 +180,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=float("inf"))
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=float("nan"))
     for count in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match="nodes_per_period must be an integer"):
             QuadratureConfig(nodes_per_period=count)
@@ -214,16 +214,37 @@ def test_refinement_detects_starved_quadrature_at_high_frequency():
     # rounding floor must scale with |L|, not with (sum |w*v|)^2; a
     # two-point rule at 48 nodes per period is off by ~6e-6 of the value,
     # above the default rel_tol and far above rounding.  The values are
-    # ~1e-10 here, so abs_tol is set below them
+    # ~1e-10 here, so no absolute tolerance may hide that gap
     state, t0 = SqueezeState(1.0, 0.3), 0.3
     mode, traj = _mode(1000.0), _traj()
-    cfg = QuadratureConfig(nodes_per_period=48, scheme="gl2", abs_tol=1e-30)
+    cfg = QuadratureConfig(nodes_per_period=48, scheme="gl2")
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
         quad_coherence_shift(state, mode, traj, t0, cfg)
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
         quad_vacuum_term(mode, traj, cfg)
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
         quad_envelope(mode, traj, cfg)
+
+
+def test_non_finite_values_fail_the_check():
+    # an overflowing loop raises RangeError, as coherence_shift does, and is
+    # never certified as nan or inf; a nan base value fails the check even
+    # when the doubled one is finite
+    mode, traj = _mode(3.34), Trajectory(apex=1e300, half_time=1.0)
+    for call in (
+        lambda: quad_coherence_shift(SqueezeState(1.0), mode, traj, 0.0),
+        lambda: quad_vacuum_term(mode, traj),
+        lambda: quad_envelope(mode, traj),
+    ):
+        with pytest.raises(RangeError, match="overflows double precision"):
+            call()
+    base = QuadratureConfig().nodes_per_period
+
+    def nan_at_base(c):
+        return (math.nan if c.nodes_per_period == base else 1.0), 0.0
+
+    with pytest.raises(ConvergenceError, match="did not stabilise"):
+        _refined(nan_at_base, None, "probe")
 
 
 def test_imaginary_residue_is_reported():
