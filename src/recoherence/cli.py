@@ -58,7 +58,7 @@ from .multimode_band import (
     band_coherence_shift_leading,
     mode_sum_oracle,
 )
-from .oracle_quadrature import QuadratureConfig, quad_coherence_shift
+from .oracle_quadrature import quad_coherence_shift
 from .single_mode import (
     _table,
     coherence_shift,
@@ -85,7 +85,6 @@ class _Rule(NamedTuple):
 
 
 _NUMBER = _Rule(float, text="be a number")
-_INTEGER = _Rule(int, text="be an integer")
 # _mode_from divides by these before a ModeSpec exists
 _POSITIVE = _Rule(float, lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
 # EmptySpaceScenario only warns about a band this wide
@@ -126,11 +125,6 @@ _GRIDS = {
     "quick": ((1.0, 3.34), (0.0, 1.0), 4),
 }
 
-_QUAD_OPTIONS = {
-    "nodes-per-period": (_INTEGER, 32, "Gauss-Legendre nodes per oscillation period"),
-    "rel-tol": (_NUMBER, 1e-8, "relative tolerance of the refinement check"),
-}
-
 _STATE_OPTIONS = {
     "r": (_NUMBER, 1.0, "squeeze parameter"),
     "theta": (_NUMBER, 0.0, "squeeze phase in radians"),
@@ -153,12 +147,10 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "solid-angle": (_NUMBER, 0.1, "beam solid angle in steradians"),
         "t0-omega": (_NUMBER, 0.0, "emission time times band-centre frequency"),
         "n-modes": (_count(MAX_MODES), 64, "modes in the discrete mode-sum oracle"),
-        **_QUAD_OPTIONS,
     },
     "oracle": {
         "grid": (_one_of(*_GRIDS), "default", "grid name: default or quick"),
         "ratio-RT": (_NUMBER, 0.1, "trajectory apex over half time, R/T"),
-        **_QUAD_OPTIONS,
     },
     "estimate": {
         "kind": (
@@ -338,13 +330,6 @@ def _rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(reference), 1e-30)
 
 
-def _quad_config(values: dict) -> QuadratureConfig:
-    return QuadratureConfig(
-        nodes_per_period=values["nodes-per-period"],
-        rel_tol=values["rel-tol"],
-    )
-
-
 def _show_warning(message, *_) -> None:
     """Stands in for warnings.showwarning: one line, no path or source."""
     print(f"warning: {message}", file=sys.stderr)
@@ -430,14 +415,13 @@ def _run_band(v: dict, output: str | None) -> int:
     band = BandSpec(center=omega, half_width=half_width, solid_angle=v["solid-angle"])
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
     _warn_relativistic(traj)
-    quad = _quad_config(v)
     t0 = _emission_time(v["t0-omega"], omega)
     # t0-resolved first, so a bad t0 fails before the leading-order warnings
     t0_exact = band_coherence_shift_exact(
-        state, band, traj, window_averaged=False, t0=t0, cfg=quad
+        state, band, traj, window_averaged=False, t0=t0
     )
     mode_sum = mode_sum_oracle(state, band, traj, v["n-modes"], t0)
-    windowed_exact = band_coherence_shift_exact(state, band, traj, cfg=quad)
+    windowed_exact = band_coherence_shift_exact(state, band, traj)
     windowed_leading = band_coherence_shift_leading(state, band, traj)
     row = _inputs(v, "r", "theta", "omega-bar-T", "ratio-RT", "delta-omega-ratio")
     row.update(_inputs(v, "solid-angle", "t0-omega", "n-modes"))
@@ -453,7 +437,6 @@ def _run_band(v: dict, output: str | None) -> int:
 
 def _run_oracle(v: dict, output: str | None) -> int:
     omegas, squeezes, n_t0 = _GRIDS[v["grid"]]
-    quad = _quad_config(v)
     traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
     _warn_relativistic(traj)
     rows = []
@@ -466,7 +449,7 @@ def _run_oracle(v: dict, output: str | None) -> int:
                 t0 = k * math.pi / (omega * n_t0)
                 closed = coherence_shift(state, mode, traj, t0).value
                 try:
-                    direct = quad_coherence_shift(state, mode, traj, t0, quad)
+                    direct = quad_coherence_shift(state, mode, traj, t0)
                 except ConvergenceError as exc:
                     print(
                         f"recoherence: oracle point omega_bar_T={omega!r} "

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, _count_input
 from .errors import _finite_input, _finite_result
-from .oracle_quadrature import QuadratureConfig, integrate_oscillatory
+from .oracle_quadrature import integrate_oscillatory
 from .single_mode import _mode_shift, _modulation
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
@@ -181,7 +181,6 @@ def band_coherence_shift_exact(
     traj: Trajectory,
     window_averaged: bool = True,
     t0: float = 0.0,
-    cfg: QuadratureConfig | None = None,
 ) -> float:
     """Continuum band shift with the frequency integral done numerically.
 
@@ -202,9 +201,8 @@ def band_coherence_shift_exact(
 
     span = traj.half_time if window_averaged else traj.half_time + abs(t0)
     lo, hi = band.edges
-    return integrate_oscillatory(
-        integrand, lo, hi, 2.0 * band.half_width * span / math.pi, cfg
-    )
+    oscillations = 2.0 * band.half_width * span / math.pi
+    return integrate_oscillatory(integrand, lo, hi, oscillations)
 
 
 def band_coherence_shift_leading(

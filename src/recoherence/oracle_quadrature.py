@@ -21,40 +21,46 @@ Lb = conj(L) and s = -mu*nu either term is (s*L^2 + conj(s)*Lb^2
 + eta^2*(L*Lb + Lb*L)) / (V*omega), with s = 0, eta^2 = 1/2 and t0 = 0
 for the vacuum: time and memory are linear in the node count.
 
-Integrals use composite Gauss-Legendre panels sized by a nodes-per-period
-budget, at most _MAX_NODES nodes per evaluation.  Every public entry point
-but quad_coherence_shift_separable re-evaluates at doubled resolution and
-raises ConvergenceError when the two disagree beyond the configured
-tolerance, so a silently under-resolved oscillation cannot masquerade as
-agreement; an imaginary residue left by a mis-assembled kernel raises it
-too.  Sums are numpy's pairwise ``np.sum``, whose order no BLAS thread
-count changes (a BLAS dot splits across threads), making results
-bit-reproducible on a given platform.
+Integrals use one fixed rule: composite Gauss-Legendre panels of _ORDER
+nodes, sized by a budget of _NODES_PER_PERIOD nodes per oscillation
+period, at most _MAX_NODES nodes per evaluation.  Every public entry point
+but quad_coherence_shift_separable re-evaluates at the doubled budget and
+raises ConvergenceError when the two disagree by more than _REL_TOL of the
+value and more than its rounding floor, so a silently under-resolved
+oscillation cannot masquerade as agreement; an imaginary residue left by
+a mis-assembled kernel raises it too.  Sums are numpy's pairwise
+``np.sum``, whose order no BLAS thread count changes (a BLAS dot splits
+across threads), making results bit-reproducible on a given platform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import ConvergenceError, DomainError, _count_input, _finite_input
-from .errors import _finite_result
+from .errors import ConvergenceError, DomainError, _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 
-_SCHEME_ORDER = {"gl2": 2, "gl4": 4, "gl8": 8, "gl16": 16}
+#: Gauss-Legendre nodes per panel
+_ORDER = 8
+
+#: base node budget per oscillation period; the check doubles it
+_NODES_PER_PERIOD = 32
+
+#: relative target of the refinement check
+_REL_TOL = 1e-8
 
 #: acceptable relative size of the imaginary residue left after the
 #: conjugate kernel pairs cancel
 _IMAG_RESIDUE = 1e-10
 
 #: largest node count of one evaluation (about 2e5 in omega*T at the
-#: default budget with refinement); larger requests raise DomainError
+#: doubled budget); larger requests raise DomainError
 _MAX_NODES = 2**22
 
 #: (orientation, velocity sign) of arm C1 and of the mirrored arm C2
@@ -73,67 +79,31 @@ _ROUNDING = 16.0 * np.finfo(float).eps
 _SHIFT, _VACUUM = "coherence-shift quadrature", "vacuum-term quadrature"
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resolution and tolerance of the composite Gauss-Legendre rule.
-
-    Parameters
-    ----------
-    nodes_per_period : int
-        Node budget per oscillation period of the integrand; at least 16.
-    scheme : str
-        Fixed panel order: one of "gl2", "gl4", "gl8", "gl16".
-    rel_tol : float
-        Finite, positive target of the refinement check: the base and the
-        doubled resolution must agree within rel_tol*|value| or within
-        rounding, a few eps times the first-order change that rounding of
-        the summed terms makes, whichever is larger.  Nothing is absolute,
-        and a rel_tol below rounding does not fail a converged value.
-    """
-
-    nodes_per_period: int = 32
-    scheme: str = "gl8"
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.scheme not in _SCHEME_ORDER:
-            raise DomainError(
-                f"unknown scheme {self.scheme!r}; expected one of "
-                f"{sorted(_SCHEME_ORDER)}"
-            )
-        nodes = _count_input("nodes_per_period", self.nodes_per_period, 16)
-        object.__setattr__(self, "nodes_per_period", nodes)
-        rel_tol = _finite_input("rel_tol", self.rel_tol, positive=True)
-        object.__setattr__(self, "rel_tol", rel_tol)
-
-
-_DEFAULT = QuadratureConfig()
-
-
 @lru_cache(maxsize=None)
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(
-    lo: float, hi: float, oscillations: float, cfg: QuadratureConfig
+    lo: float, hi: float, oscillations: float, nodes_per_period: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights over [lo, hi].
 
-    Panel count scales with the oscillation count so the configured
-    nodes-per-period budget is met; a floor of four panels keeps smooth
-    integrands honest too.  Asking for more than _MAX_NODES nodes, or for a
-    non-finite oscillation count, raises DomainError before any allocation.
+    Panel count scales with the oscillation count so the node budget per
+    period is met, and is never below one period's budget: smooth and
+    slow integrands are resolved too, and the doubled budget always has
+    more nodes than the base.  Asking for more than _MAX_NODES nodes, or
+    for a non-finite oscillation count, raises DomainError before any
+    allocation.
     """
-    order = _SCHEME_ORDER[cfg.scheme]
-    wanted = oscillations * cfg.nodes_per_period / order
-    if not wanted <= _MAX_NODES // order:  # also catches inf and nan
+    wanted = oscillations * nodes_per_period / _ORDER
+    if not wanted <= _MAX_NODES // _ORDER:  # also catches inf and nan
         raise DomainError(
-            f"{oscillations:.3g} oscillations at {cfg.nodes_per_period} nodes per "
-            f"period need {wanted * order:.3g} nodes, above the cap of {_MAX_NODES}"
+            f"{oscillations:.3g} oscillations at {nodes_per_period} nodes per "
+            f"period need {wanted * _ORDER:.3g} nodes, above the cap of {_MAX_NODES}"
         )
-    panels = max(4, math.ceil(wanted))
-    xs, ws = _gauss_rule(order)
+    panels = max(nodes_per_period // _ORDER, math.ceil(wanted))
+    xs, ws = _gauss_rule(_ORDER)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -142,24 +112,22 @@ def _panel_nodes(
     return nodes, weights
 
 
-def _refined(
-    evaluate: Callable[[QuadratureConfig], tuple[float, float]],
-    cfg: QuadratureConfig | None,
-    what: str,
-) -> float:
-    """The value of evaluate(cfg), checked against the doubled budget.
+def _refined(evaluate: Callable[[int], tuple[float, float]], what: str) -> float:
+    """evaluate(n) at the doubled budget n = 2*_NODES_PER_PERIOD, checked
+    against the base budget n = _NODES_PER_PERIOD.
 
     ``evaluate`` returns the value and its rounding scale, the first-order
-    change of the value when its summed terms change by a relative eps,
-    which sets the rounding floor of the tolerance.  RangeError when the
-    value leaves double precision; a nan gap fails the check.
+    change of the value when its summed terms change by a relative eps.
+    The two must agree within _REL_TOL of the value or within the rounding
+    floor _ROUNDING times that scale, whichever is larger, so a converged
+    value never fails on rounding alone.  RangeError when the value leaves
+    double precision; a nan gap fails the check.
     """
-    cfg = cfg or _DEFAULT
     with np.errstate(all="ignore"):  # a non-finite value is reported below
-        coarse, _ = evaluate(cfg)
-        fine, size = evaluate(replace(cfg, nodes_per_period=2 * cfg.nodes_per_period))
+        coarse, _ = evaluate(_NODES_PER_PERIOD)
+        fine, size = evaluate(2 * _NODES_PER_PERIOD)
     _finite_result(fine, what)
-    tol = max(cfg.rel_tol * abs(fine), _ROUNDING * size)
+    tol = max(_REL_TOL * abs(fine), _ROUNDING * size)
     if not abs(fine - coarse) <= tol:
         raise ConvergenceError(
             f"{what} did not stabilise under refinement: "
@@ -169,7 +137,7 @@ def _refined(
 
 
 def _loop_line(
-    mode: ModeSpec, traj: Trajectory, t0: float, cfg: QuadratureConfig
+    mode: ModeSpec, traj: Trajectory, t0: float, nodes_per_period: int
 ) -> tuple[complex, float]:
     """L = sum over legs of sign * int v_leg(t) e^{-i*omega*(t + t0)} dt,
     and the magnitude of its terms, sum |w*v|, at the same scale.
@@ -177,7 +145,7 @@ def _loop_line(
     The legs share the nodes: one line integral times their summed signs.
     """
     periods = mode.omega * traj.half_time / math.pi  # of e^{i*omega*t} in [-T, T]
-    t, w = _panel_nodes(-traj.half_time, traj.half_time, periods, cfg)
+    t, w = _panel_nodes(-traj.half_time, traj.half_time, periods, nodes_per_period)
     wv = w * traj.velocity(t)
     line = complex(np.sum(wv * np.exp(-1j * mode.omega * (t + t0))))
     legs = sum(sign * direction for sign, direction in _LEGS)
@@ -201,17 +169,17 @@ def _loop_value(total: complex, what: str) -> float:
 
 def _loop_form(
     s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float, what: str
-) -> Callable[[QuadratureConfig], tuple[float, float]]:
-    """evaluate(cfg): -pi*alpha * (s*L^2 + conj(s)*Lb^2 + d*(L*Lb + Lb*L))
-    / (V*omega) at one budget, and its rounding scale.
+) -> Callable[[int], tuple[float, float]]:
+    """evaluate(n): -pi*alpha * (s*L^2 + conj(s)*Lb^2 + d*(L*Lb + Lb*L))
+    / (V*omega) at n nodes per period, and its rounding scale.
 
     The squeezed kernel K_R has (s, d) = (-mu*nu, eta^2); the vacuum kernel
     K_0 is its eta^2 term at eta^2 = 1/2, so (s, d) = (0, 1/2) at t0 = 0.
     """
     scale = mode.volume * mode.omega
 
-    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
-        line, size = _loop_line(mode, traj, t0, c)
+    def evaluate(n: int) -> tuple[float, float]:
+        line, size = _loop_line(mode, traj, t0, n)
         bar = line.conjugate()
         total = s * line * line + s.conjugate() * bar * bar
         total = (total + d * line * bar + d * bar * line) / scale
@@ -235,47 +203,35 @@ def _vacuum_form(mode: ModeSpec, traj: Trajectory):
 
 
 def quad_coherence_shift(
-    state: SqueezeState,
-    mode: ModeSpec,
-    traj: Trajectory,
-    t0: float,
-    cfg: QuadratureConfig | None = None,
+    state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> float:
     """Single-mode coherence shift from the raw loop double integral.
 
     Independent route to the closed form: the four terms of the squeezed
     kernel K_R contracted with the loop line integral L, accepted only if
-    doubling the node budget reproduces it within the configured tolerance.
+    doubling the node budget reproduces it.
 
-    Accuracy: the check holds the value to rel_tol (1e-8 by default) or to
-    its rounding floor, which grows like (omega*T)^2 relative to the value
+    Accuracy: the check holds the value to 1e-8 of itself or to its
+    rounding floor, which grows like (omega*T)^2 relative to the value
     as L cancels against its terms: 1e-9 to 1e-8 at omega*T = 1e3, 3e-7
     to 1.3e-6 at 1e4.  Beyond that the check no longer bounds the error:
     both budgets share the rounding of the phase and of L, and at
     omega*T = 1e5 it accepts values off by 1e-5 to 5e-4 of the value
     (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """
-    return _refined(_shift_form(state, mode, traj, t0), cfg, _SHIFT)
+    return _refined(_shift_form(state, mode, traj, t0), _SHIFT)
 
 
-def quad_vacuum_term(
-    mode: ModeSpec,
-    traj: Trajectory,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def quad_vacuum_term(mode: ModeSpec, traj: Trajectory) -> float:
     """Vacuum coherence loss of one mode from the raw loop double integral.
 
     The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    return _refined(_vacuum_form(mode, traj), cfg, _VACUUM)
+    return _refined(_vacuum_form(mode, traj), _VACUUM)
 
 
-def quad_envelope(
-    mode: ModeSpec,
-    traj: Trajectory,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     """Mode envelope M as the squared overlap of velocity and sin(omega*t).
 
     M = (integral of v(t)*sin(omega*t) over the flight)^2; numerical
@@ -284,27 +240,23 @@ def quad_envelope(
     overlap and M = |L|^2/4.
     """
 
-    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
-        line, size = _loop_line(mode, traj, 0.0, c)
+    def evaluate(n: int) -> tuple[float, float]:
+        line, size = _loop_line(mode, traj, 0.0, n)
         half = 0.5 * abs(line)
         return half * half, half * size
 
-    return _refined(evaluate, cfg, "envelope quadrature")
+    return _refined(evaluate, "envelope quadrature")
 
 
 def quad_coherence_shift_separable(
-    state: SqueezeState,
-    mode: ModeSpec,
-    traj: Trajectory,
-    t0: float,
-    cfg: QuadratureConfig | None = None,
+    state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> float:
     """Coherence shift at the base budget alone, without the refinement check.
 
     The unchecked half of quad_coherence_shift, kept because perfbench
     times it and its reference checks compare it with the checked value.
     """
-    return _shift_form(state, mode, traj, t0)(cfg or _DEFAULT)[0]
+    return _shift_form(state, mode, traj, t0)(_NODES_PER_PERIOD)[0]
 
 
 def integrate_oscillatory(
@@ -312,30 +264,29 @@ def integrate_oscillatory(
     lo: float,
     hi: float,
     oscillations: float,
-    cfg: QuadratureConfig | None = None,
 ) -> float:
     """Composite Gauss-Legendre integral of a vectorised real integrand.
 
     ``oscillations`` is the number of full periods of the fastest
-    oscillation across [lo, hi]; it sizes the panels against the
-    nodes-per-period budget.  The node budget is then doubled, and
-    disagreement beyond tolerance raises ConvergenceError.  The rounding
-    floor of that check counts the rounding of f's own phase, which at x
-    is about eps * 2*pi*oscillations*|x|/(hi - lo) relative.
+    oscillation across [lo, hi]; it sizes the panels against the budget
+    of nodes per period, with one period's budget at the least.  The node
+    budget is then doubled, and disagreement beyond _REL_TOL and the
+    rounding floor raises ConvergenceError.  That floor counts the
+    rounding of f's own phase, which at x is about
+    eps * 2*pi*oscillations*|x|/(hi - lo) relative.
     """
     width = _finite_input("integration interval length hi - lo", hi - lo, positive=True)
     phase_factor = 1.0 + 2.0 * math.pi * oscillations * max(abs(lo), abs(hi)) / width
 
-    def evaluate(c: QuadratureConfig) -> tuple[float, float]:
-        x, w = _panel_nodes(lo, hi, oscillations, c)
+    def evaluate(n: int) -> tuple[float, float]:
+        x, w = _panel_nodes(lo, hi, oscillations, n)
         terms = w * f(x)
         return float(np.sum(terms)), phase_factor * float(np.sum(np.abs(terms)))
 
-    return _refined(evaluate, cfg, "oscillatory integral")
+    return _refined(evaluate, "oscillatory integral")
 
 
 __all__ = [
-    "QuadratureConfig",
     "quad_coherence_shift",
     "quad_vacuum_term",
     "quad_envelope",

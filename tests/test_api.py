@@ -31,16 +31,15 @@ _API = {
     "locate_envelope_max": (),
     "BandSpec": ("center", "half_width", "solid_angle"),
     "band_coherence_shift_exact": (
-        "state", "band", "traj", "window_averaged", "t0", "cfg",
+        "state", "band", "traj", "window_averaged", "t0",
     ),
     "band_coherence_shift_leading": ("state", "band", "traj"),
     "mode_sum_oracle": ("state", "band", "traj", "n_modes", "t0"),
-    "QuadratureConfig": ("nodes_per_period", "scheme", "rel_tol"),
-    "quad_coherence_shift": ("state", "mode", "traj", "t0", "cfg"),
-    "quad_vacuum_term": ("mode", "traj", "cfg"),
-    "quad_envelope": ("mode", "traj", "cfg"),
-    "quad_coherence_shift_separable": ("state", "mode", "traj", "t0", "cfg"),
-    "integrate_oscillatory": ("f", "lo", "hi", "oscillations", "cfg"),
+    "quad_coherence_shift": ("state", "mode", "traj", "t0"),
+    "quad_vacuum_term": ("mode", "traj"),
+    "quad_envelope": ("mode", "traj"),
+    "quad_coherence_shift_separable": ("state", "mode", "traj", "t0"),
+    "integrate_oscillatory": ("f", "lo", "hi", "oscillations"),
     "EmissionWindow": ("start", "end", "width", "degenerate"),
     "CoherenceResult": ("value", "contrast_factor"),
     "UnitaritySplit": ("vacuum", "max_shift", "total"),
@@ -74,9 +73,9 @@ _CLI_OPTIONS = {
     ),
     "band": (
         "r", "theta", "omega-bar-T", "ratio-RT", "delta-omega-ratio",
-        "solid-angle", "t0-omega", "n-modes", "nodes-per-period", "rel-tol",
+        "solid-angle", "t0-omega", "n-modes",
     ),
-    "oracle": ("grid", "ratio-RT", "nodes-per-period", "rel-tol"),
+    "oracle": ("grid", "ratio-RT"),
     "estimate": (
         "kind", "ratio-RT", "lambda3-over-V", "R-over-lambda",
         "delta-omega-ratio", "solid-angle", "omega-bar-T",

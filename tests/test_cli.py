@@ -14,7 +14,7 @@ from recoherence import (
     Trajectory,
     band_coherence_shift_exact,
 )
-from recoherence import cli
+from recoherence import cli, oracle_quadrature
 from recoherence.multimode_band import MAX_MODES
 
 
@@ -110,32 +110,44 @@ def test_oracle_quick_grid_passes(run_cli):
     assert worst <= 1e-6
 
 
-def test_oracle_tolerance_below_rounding_accepts_a_converged_grid(run_cli):
+def test_oracle_tolerance_below_rounding_accepts_a_converged_grid(run_cli, monkeypatch):
     # the two budgets of the quick grid differ by rounding alone (2 ulp at
     # omega_bar_T=3.34, r=1, t0=0), which no tolerance may turn into exit 2
     default = run_cli("oracle", "--grid", "quick")
-    tiny = run_cli("oracle", "--grid", "quick", "--rel-tol", "1e-300")
+    monkeypatch.setattr(oracle_quadrature, "_REL_TOL", 1e-300)
+    tiny = run_cli("oracle", "--grid", "quick")
     assert tiny.returncode == 0, tiny.stderr
     assert tiny.stdout == default.stdout
 
 
-def test_band_tolerance_below_rounding_accepts_a_converged_integral(run_cli):
+def test_band_tolerance_below_rounding_accepts_a_converged_integral(
+    run_cli, monkeypatch
+):
     # the integrand's phase 2*omega*t0 rounds at ~eps*60 and j2(omega*T) at
     # ~eps*3000, so the budgets differ by ~45 eps of the terms' sum; the
     # rounding floor counts that phase and no tolerance may turn it into exit 2
     argv = ("band", "--omega-bar-T", "3000", "--t0-omega", "30",
             "--delta-omega-ratio", "0.01")
     default = run_cli(*argv)
-    tiny = run_cli(*argv, "--rel-tol", "1e-300")
+    monkeypatch.setattr(oracle_quadrature, "_REL_TOL", 1e-300)
+    tiny = run_cli(*argv)
     assert tiny.returncode == 0, tiny.stderr
     assert tiny.stdout == default.stdout
+
+
+# the loop line integral at omega*T = 2e4 sums about 4e5 nodes
+_LONG_LOOP = (
+    "import math; from recoherence import *; x = 2e4; "
+    "print(repr(quad_coherence_shift(SqueezeState(1.0, 0.3), "
+    "ModeSpec(x, (2 * math.pi / x) ** 3), Trajectory(0.1, 1.0), 0.3)))"
+)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["band", "--omega-bar-T", "3000", "--t0-omega", "30"],
-        ["oracle", "--grid", "quick", "--nodes-per-period", "200000"],
+        ["-m", "recoherence", "band", "--omega-bar-T", "3000", "--t0-omega", "30"],
+        ["-c", _LONG_LOOP],
     ],
     ids=["band", "oracle"],
 )
@@ -144,7 +156,7 @@ def test_stdout_bytes_do_not_depend_on_blas_threads(argv):
     # the last digits; the sums must not follow the thread count
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "recoherence", *argv],
+            [sys.executable, *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env={**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n},
@@ -157,7 +169,7 @@ def test_stdout_bytes_do_not_depend_on_blas_threads(argv):
 
 
 def test_oracle_starved_tolerance_exits_two(monkeypatch, capsys):
-    # the CLI's gl8 rule cannot be starved, so the refinement failure is
+    # the CLI's fixed rule cannot be starved, so the refinement failure is
     # injected; that a starved rule really raises is checked in
     # test_oracle_quadrature.py
     def not_converged(*args, **kwargs):
@@ -533,9 +545,6 @@ _BAD_VALUES = [
     ["single-mode", "--ratio-RT", "0"],
     ["band", "--solid-angle", "-1"],
     ["band", "--t0-omega", "nan"],
-    ["band", "--rel-tol", "inf"],
-    ["band", "--rel-tol", "nan"],
-    ["band", "--nodes-per-period", "8"],
     ["band", "--delta-omega-ratio", "1"],
     ["band", "--delta-omega-ratio", "1.5"],
     ["estimate", "empty-space", "--delta-omega-ratio", "1"],
@@ -560,13 +569,14 @@ def test_bad_value_exits_one(run_cli, argv):
     assert line.startswith(("recoherence: error:", "recoherence: config error:"))
 
 
+@pytest.mark.parametrize("option", ["abs-tol", "nodes-per-period", "rel-tol"])
 @pytest.mark.parametrize("command", ["band", "oracle"])
-def test_abs_tol_is_refused(capsys, tmp_path, command):
-    # the refinement check's floor comes from rounding and it takes no
-    # absolute tolerance, so abs-tol is an unknown flag and INI key
+def test_removed_quadrature_option_is_refused(capsys, tmp_path, command, option):
+    # the oracle has one fixed rule, tolerance and rounding floor, so no
+    # quadrature setting is an accepted flag or INI key
     ini = tmp_path / "run.ini"
-    ini.write_text(f"[{command}]\nabs-tol = 1e-14\n", encoding="utf-8")
-    for argv in ([command, "--abs-tol", "1e-14"], [command, "--config", str(ini)]):
+    ini.write_text(f"[{command}]\n{option} = 64\n", encoding="utf-8")
+    for argv in ([command, f"--{option}", "64"], [command, "--config", str(ini)]):
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -11,7 +11,6 @@ from recoherence import (
     ConvergenceError,
     DomainError,
     ModeSpec,
-    QuadratureConfig,
     RangeError,
     SqueezeState,
     Trajectory,
@@ -20,7 +19,7 @@ from recoherence import (
     coherence_shift,
     mode_sum_oracle,
 )
-from recoherence import multimode_band
+from recoherence import multimode_band, oracle_quadrature
 from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
 from recoherence.single_mode import _mode_shift, _modulation
 
@@ -66,27 +65,29 @@ def test_band_rounding_floor_stays_below_the_value(monkeypatch):
     # doubled budget moved by 1e-10
     state, traj = SqueezeState(1.0), Trajectory(apex=0.1, half_time=1.0)
     band = BandSpec(center=3000.0, half_width=30.0, solid_angle=0.1)
-    tiny = QuadratureConfig(rel_tol=1e-300)
     args = (state, band, traj, False, 0.01)
     want = band_coherence_shift_exact(*args)
-    assert band_coherence_shift_exact(*args, cfg=tiny) == want
-    starved = QuadratureConfig(16, "gl2", rel_tol=1e-300)
-    with pytest.raises(ConvergenceError, match="did not stabilise"):
-        band_coherence_shift_exact(*args, cfg=starved)
+    monkeypatch.setattr(oracle_quadrature, "_REL_TOL", 1e-300)
+    assert band_coherence_shift_exact(*args) == want
+    with monkeypatch.context() as starved:
+        starved.setattr(oracle_quadrature, "_ORDER", 2)
+        starved.setattr(oracle_quadrature, "_NODES_PER_PERIOD", 16)
+        with pytest.raises(ConvergenceError, match="did not stabilise"):
+            band_coherence_shift_exact(*args)
     real = multimode_band.integrate_oscillatory
 
-    def nudged(f, lo, hi, oscillations, cfg):
+    def nudged(f, lo, hi, oscillations):
         calls = []
 
         def doubled_moved(x):  # the second call is the doubled budget
             calls.append(x)
             return f(x) * (1.0 + 1e-10 * (len(calls) == 2))
 
-        return real(doubled_moved, lo, hi, oscillations, cfg)
+        return real(doubled_moved, lo, hi, oscillations)
 
     monkeypatch.setattr(multimode_band, "integrate_oscillatory", nudged)
     with pytest.raises(ConvergenceError, match="did not stabilise"):
-        band_coherence_shift_exact(*args, cfg=tiny)
+        band_coherence_shift_exact(*args)
 
 
 def test_windowed_shift_is_positive_for_squeezed_bands():

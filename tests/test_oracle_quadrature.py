@@ -7,7 +7,6 @@ from recoherence import (
     ConvergenceError,
     DomainError,
     ModeSpec,
-    QuadratureConfig,
     RangeError,
     SqueezeState,
     Trajectory,
@@ -21,9 +20,11 @@ from recoherence import (
     unitarity_sum,
 )
 from recoherence.constants import FINE_STRUCTURE
+from recoherence import oracle_quadrature
 from recoherence.oracle_quadrature import (
     _loop_value,
     _MAX_NODES,
+    _NODES_PER_PERIOD,
     _panel_nodes,
     _refined,
     _vacuum_form,
@@ -42,6 +43,12 @@ def _traj():
     return Trajectory(apex=0.1, half_time=1.0)
 
 
+def _starve(monkeypatch, nodes_per_period):
+    """A two-point rule at the given base budget in place of the fixed one."""
+    monkeypatch.setattr(oracle_quadrature, "_ORDER", 2)
+    monkeypatch.setattr(oracle_quadrature, "_NODES_PER_PERIOD", nodes_per_period)
+
+
 def _tensor_loop(kernel, mode, traj):
     """Literal loop double integral of an N x N kernel at the base budget.
 
@@ -50,7 +57,7 @@ def _tensor_loop(kernel, mode, traj):
     """
     t, w = _panel_nodes(
         -traj.half_time, traj.half_time, mode.omega * traj.half_time / math.pi,
-        QuadratureConfig(),
+        _NODES_PER_PERIOD,
     )
     v, k = traj.velocity(t), kernel(t)
     legs = ((1.0, v), (-1.0, -v))
@@ -94,7 +101,7 @@ def test_quadrature_matches_closed_form(omega, r, theta, t0):
     # for node at the base budget
     line = quad_coherence_shift_separable(state, mode, traj, t0)
     assert math.isclose(line, _tensor_shift(state, mode, traj, t0), rel_tol=1e-12)
-    vacuum, _ = _vacuum_form(mode, traj)(QuadratureConfig())
+    vacuum, _ = _vacuum_form(mode, traj)(_NODES_PER_PERIOD)
     assert math.isclose(vacuum, _tensor_vacuum(mode, traj), rel_tol=1e-12)
 
 
@@ -128,28 +135,28 @@ def test_quad_envelope_matches_closed_envelope():
     )
 
 
-def test_refinement_detects_starved_quadrature():
-    # a two-point rule at the minimum budget is genuinely under-resolved:
-    # base and doubled budgets differ by ~1.7e-4 relative, far above the
-    # default rel_tol (an over-resolved rule can agree bit for bit instead)
+def test_refinement_detects_starved_quadrature(monkeypatch):
+    # a two-point rule at 16 nodes per period is genuinely under-resolved:
+    # base and doubled budgets differ by ~1.7e-4 relative, far above
+    # _REL_TOL (an over-resolved rule can agree bit for bit instead)
     state = SqueezeState(1.0)
     mode, traj = _mode(10.0), _traj()
-    cfg = QuadratureConfig(nodes_per_period=16, scheme="gl2")
+    _starve(monkeypatch, 16)
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
-        quad_coherence_shift(state, mode, traj, 0.0, cfg)
+        quad_coherence_shift(state, mode, traj, 0.0)
     # the base budget alone, unchecked, is the separable route
-    value = quad_coherence_shift_separable(state, mode, traj, 0.0, cfg)
+    value = quad_coherence_shift_separable(state, mode, traj, 0.0)
     assert math.isfinite(value)
 
 
-def test_error_decreases_with_node_budget():
+def test_error_decreases_with_node_budget(monkeypatch):
     state = SqueezeState(1.0)
     mode, traj = _mode(10.0), _traj()
     closed = coherence_shift(state, mode, traj, 0.05).value
 
     def err(npp):
-        cfg = QuadratureConfig(nodes_per_period=npp, scheme="gl2")
-        got = quad_coherence_shift_separable(state, mode, traj, 0.05, cfg)
+        _starve(monkeypatch, npp)
+        got = quad_coherence_shift_separable(state, mode, traj, 0.05)
         return abs(got - closed)
 
     coarse, fine = err(16), err(128)
@@ -164,25 +171,25 @@ def test_integrate_oscillatory_known_integral():
     assert math.isclose(value, math.pi, rel_tol=1e-12)
 
 
+def test_refinement_compares_two_node_sets_below_one_oscillation():
+    # sin^2(40 x) over [0, 2 pi] is pi, but half an oscillation declared is
+    # far too few nodes; the doubled budget must see that with more nodes
+    # than the base, not the same four panels
+    for oscillations in (0.0, 0.21, 0.5, 1.0, 3.3):
+        base = _panel_nodes(0.0, 1.0, oscillations, _NODES_PER_PERIOD)[0]
+        doubled = _panel_nodes(0.0, 1.0, oscillations, 2 * _NODES_PER_PERIOD)[0]
+        assert doubled.size > base.size
+    with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
+        integrate_oscillatory(
+            lambda x: np.sin(40.0 * x) ** 2, 0.0, 2.0 * math.pi, oscillations=0.5
+        )
+
+
 def test_integrate_oscillatory_rejects_bad_interval():
     with pytest.raises(DomainError):
         integrate_oscillatory(lambda x: x, 1.0, 1.0, oscillations=1.0)
     with pytest.raises(DomainError):
         integrate_oscillatory(lambda x: x, 0.0, float("inf"), oscillations=1.0)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(nodes_per_period=8)
-    with pytest.raises(DomainError):
-        QuadratureConfig(scheme="simpson")
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=float("inf"))
-    for count in (float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="nodes_per_period must be an integer"):
-            QuadratureConfig(nodes_per_period=count)
 
 
 def test_nonfinite_emission_time_rejected():
@@ -209,21 +216,21 @@ def test_high_frequency_oracle_matches_closed_forms():
     assert abs(vacuum - unitarity_sum(mode, traj).vacuum) <= 1e-6 * vacuum_scale
 
 
-def test_refinement_detects_starved_quadrature_at_high_frequency():
+def test_refinement_detects_starved_quadrature_at_high_frequency(monkeypatch):
     # omega*T = 1000: L cancels to ~8/(omega*T)^2 of sum |w*v|, so the
     # rounding floor must scale with |L|, not with (sum |w*v|)^2; a
     # two-point rule at 48 nodes per period is off by ~6e-6 of the value,
-    # above the default rel_tol and far above rounding.  The values are
-    # ~1e-10 here, so no absolute tolerance may hide that gap
+    # above _REL_TOL and far above rounding.  The values are ~1e-10 here,
+    # so no absolute tolerance may hide that gap
     state, t0 = SqueezeState(1.0, 0.3), 0.3
     mode, traj = _mode(1000.0), _traj()
-    cfg = QuadratureConfig(nodes_per_period=48, scheme="gl2")
+    _starve(monkeypatch, 48)
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
-        quad_coherence_shift(state, mode, traj, t0, cfg)
+        quad_coherence_shift(state, mode, traj, t0)
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
-        quad_vacuum_term(mode, traj, cfg)
+        quad_vacuum_term(mode, traj)
     with pytest.raises(ConvergenceError, match="did not stabilise under refinement"):
-        quad_envelope(mode, traj, cfg)
+        quad_envelope(mode, traj)
 
 
 def test_non_finite_values_fail_the_check():
@@ -238,13 +245,12 @@ def test_non_finite_values_fail_the_check():
     ):
         with pytest.raises(RangeError, match="overflows double precision"):
             call()
-    base = QuadratureConfig().nodes_per_period
 
-    def nan_at_base(c):
-        return (math.nan if c.nodes_per_period == base else 1.0), 0.0
+    def nan_at_base(n):
+        return (math.nan if n == _NODES_PER_PERIOD else 1.0), 0.0
 
     with pytest.raises(ConvergenceError, match="did not stabilise"):
-        _refined(nan_at_base, None, "probe")
+        _refined(nan_at_base, "probe")
 
 
 def test_imaginary_residue_is_reported():
