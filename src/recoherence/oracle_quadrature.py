@@ -27,8 +27,7 @@ period, at most _MAX_NODES nodes per evaluation.  Every public entry point
 but quad_coherence_shift_separable re-evaluates at the doubled budget and
 raises ConvergenceError when the two disagree by more than _REL_TOL of the
 value and more than its rounding floor, so a silently under-resolved
-oscillation cannot masquerade as agreement; an imaginary residue left by
-a mis-assembled kernel raises it too.  Sums are numpy's pairwise
+oscillation cannot masquerade as agreement.  Sums are numpy's pairwise
 ``np.sum``, whose order no BLAS thread count changes (a BLAS dot splits
 across threads), making results bit-reproducible on a given platform.
 """
@@ -55,16 +54,9 @@ _NODES_PER_PERIOD = 32
 #: relative target of the refinement check
 _REL_TOL = 1e-8
 
-#: acceptable relative size of the imaginary residue left after the
-#: conjugate kernel pairs cancel
-_IMAG_RESIDUE = 1e-10
-
 #: largest node count of one evaluation (about 2e5 in omega*T at the
 #: doubled budget); larger requests raise DomainError
 _MAX_NODES = 2**22
-
-#: (orientation, velocity sign) of arm C1 and of the mirrored arm C2
-_LEGS = ((1.0, 1.0), (-1.0, -1.0))
 
 #: rounding floor of the refinement check, in units of an evaluation's
 #: rounding scale (what a relative change eps of its summed terms moves it
@@ -74,9 +66,6 @@ _LEGS = ((1.0, 1.0), (-1.0, -1.0))
 #: the band integrals up to a centre of 3000 (their scale counts the
 #: rounding of the integrand's phase)
 _ROUNDING = 16.0 * np.finfo(float).eps
-
-#: what the errors of the two loop forms name
-_SHIFT, _VACUUM = "coherence-shift quadrature", "vacuum-term quadrature"
 
 
 @lru_cache(maxsize=None)
@@ -148,45 +137,32 @@ def _loop_line(
     t, w = _panel_nodes(-traj.half_time, traj.half_time, periods, nodes_per_period)
     wv = w * traj.velocity(t)
     line = complex(np.sum(wv * np.exp(-1j * mode.omega * (t + t0))))
-    legs = sum(sign * direction for sign, direction in _LEGS)
-    return legs * line, abs(legs) * float(np.sum(np.abs(wv)))
-
-
-def _loop_value(total: complex, what: str) -> float:
-    """-pi*alpha * Re(total), after checking the imaginary residue.
-
-    Conjugate kernel terms cancel the imaginary part; a residue above the
-    tolerance means a mis-assembled kernel and is reported, not dropped.
-    """
-    residue = abs(total.imag)
-    if residue > _IMAG_RESIDUE * max(abs(total.real), 1e-300):
-        raise ConvergenceError(
-            f"{what}: imaginary residue {residue:g} exceeds "
-            f"{_IMAG_RESIDUE:g} of the real part {total.real:g}"
-        )
-    return -math.pi * FINE_STRUCTURE * total.real
+    # the mirrored arm C2 (orientation -1, velocity -v) adds like C1
+    return 2.0 * line, 2.0 * float(np.sum(np.abs(wv)))
 
 
 def _loop_form(
-    s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float, what: str
+    s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> Callable[[int], tuple[float, float]]:
     """evaluate(n): -pi*alpha * (s*L^2 + conj(s)*Lb^2 + d*(L*Lb + Lb*L))
     / (V*omega) at n nodes per period, and its rounding scale.
 
-    The squeezed kernel K_R has (s, d) = (-mu*nu, eta^2); the vacuum kernel
-    K_0 is its eta^2 term at eta^2 = 1/2, so (s, d) = (0, 1/2) at t0 = 0.
+    The form is real, as each term is paired with its conjugate, so it is
+    summed as 2*Re(s*L^2) + 2*d*|L|^2 in real arithmetic.  The squeezed
+    kernel K_R has (s, d) = (-mu*nu, eta^2); the vacuum kernel K_0 is its
+    eta^2 term at eta^2 = 1/2, so (s, d) = (0, 1/2) at t0 = 0.
     """
     scale = mode.volume * mode.omega
 
     def evaluate(n: int) -> tuple[float, float]:
         line, size = _loop_line(mode, traj, t0, n)
-        bar = line.conjugate()
-        total = s * line * line + s.conjugate() * bar * bar
-        total = (total + d * line * bar + d * bar * line) / scale
+        x = (s * line * line).real
+        y = d * line.real * line.real + d * line.imag * line.imag
         # each of the four terms moves by 2*|coefficient|*|L|*dL when the
         # rounding of L moves it by dL ~ eps*size
         rounding = 4.0 * (abs(s) + abs(d)) * abs(line) * size / scale
-        return _loop_value(total, what), math.pi * FINE_STRUCTURE * rounding
+        value = -math.pi * FINE_STRUCTURE * ((x + x + y + y) / scale)
+        return value, math.pi * FINE_STRUCTURE * rounding
 
     return evaluate
 
@@ -194,12 +170,12 @@ def _loop_form(
 def _shift_form(state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float):
     """_loop_form of the squeezed kernel K_R at emission time t0."""
     eta, t0 = state.eta, _finite_input("emission time", t0)
-    return _loop_form(-state.mu * state.nu, eta * eta, mode, traj, t0, _SHIFT)
+    return _loop_form(-state.mu * state.nu, eta * eta, mode, traj, t0)
 
 
 def _vacuum_form(mode: ModeSpec, traj: Trajectory):
     """_loop_form of the vacuum kernel K_0."""
-    return _loop_form(0.0, 0.5, mode, traj, 0.0, _VACUUM)
+    return _loop_form(0.0, 0.5, mode, traj, 0.0)
 
 
 def quad_coherence_shift(
@@ -219,7 +195,7 @@ def quad_coherence_shift(
     omega*T = 1e5 it accepts values off by 1e-5 to 5e-4 of the value
     (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
     """
-    return _refined(_shift_form(state, mode, traj, t0), _SHIFT)
+    return _refined(_shift_form(state, mode, traj, t0), "coherence-shift quadrature")
 
 
 def quad_vacuum_term(mode: ModeSpec, traj: Trajectory) -> float:
@@ -228,7 +204,7 @@ def quad_vacuum_term(mode: ModeSpec, traj: Trajectory) -> float:
     The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    return _refined(_vacuum_form(mode, traj), _VACUUM)
+    return _refined(_vacuum_form(mode, traj), "vacuum-term quadrature")
 
 
 def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:

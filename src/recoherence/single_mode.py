@@ -304,10 +304,10 @@ def _table(r, theta, omega, volume, apex, t0) -> dict:
     """The sweep's columns, and "envelope", at arrays that broadcast (T = 1).
 
     Each factor takes the shape of the inputs it depends on, and the bits of
-    the scalar functions above (kernels of r and j2 run per value); a cell
-    they refuse with RangeError is left inf or nan."""
+    the scalar functions above (kernels of r run per value, j2 as one array);
+    a cell they refuse with RangeError is left inf or nan."""
     with np.errstate(all="ignore"):
-        envelope = _envelope(_each(j2_over_x, omega), apex)
+        envelope = _envelope(j2_over_x(omega), apex)
         shift = _per_mode(omega, volume, envelope)
         g = _modulation(r, theta, omega, t0)
         g_avg = _each(windowed_phase_weight, r)

@@ -22,7 +22,6 @@ from recoherence import (
 from recoherence.constants import FINE_STRUCTURE
 from recoherence import oracle_quadrature
 from recoherence.oracle_quadrature import (
-    _loop_value,
     _MAX_NODES,
     _NODES_PER_PERIOD,
     _panel_nodes,
@@ -251,12 +250,6 @@ def test_non_finite_values_fail_the_check():
 
     with pytest.raises(ConvergenceError, match="did not stabilise"):
         _refined(nan_at_base, "probe")
-
-
-def test_imaginary_residue_is_reported():
-    assert _loop_value(complex(2.0, 1e-12), "probe") == -2.0 * math.pi * FINE_STRUCTURE
-    with pytest.raises(ConvergenceError, match="probe: imaginary residue"):
-        _loop_value(complex(2.0, 1e-9), "probe")
 
 
 def test_node_cap_rejected_before_allocation():

@@ -96,7 +96,7 @@ def test_phase_weight_array_equals_scalar(r, phases):
 def test_j2_over_x_array_equals_scalar(xs):
     values = j2_over_x(np.array(xs))
     for got, x in zip(values, xs):
-        assert abs(got - j2_over_x(x)) <= 1e-15 * _scale(x)
+        assert got == j2_over_x(x)
 
 
 @settings(max_examples=50, deadline=None)
