@@ -97,20 +97,6 @@ def j2_over_x(x):
     return out
 
 
-def j2_prime_numerator(x: float) -> tuple[float, float]:
-    """Numerator D(x) = x^4 * j2'(x) and its slope D'(x), for Newton steps.
-
-        D(x)  = (4x^2 - 9)*sin(x) - x*(x^2 - 9)*cos(x),
-        D'(x) = x*(x^2 - 1)*sin(x) + x^2*cos(x).
-
-    j2' vanishes exactly where D does (x != 0); near the first peak of j2
-    (x ~ 3.34) D' ~ -18, so D's rounding moves its root by about 1e-16.
-    """
-    s, c = math.sin(x), math.cos(x)
-    xx = x * x
-    return (4.0 * xx - 9.0) * s - x * (xx - 9.0) * c, x * (xx - 1.0) * s + xx * c
-
-
 def window_half_angle(r: float) -> float:
     """Half-angle arccos(tanh r) of the negative-modulation phase window.
 

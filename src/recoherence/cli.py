@@ -63,7 +63,6 @@ from .single_mode import (
     _table,
     coherence_shift,
     emission_window,
-    max_recoherence,
     unitarity_sum,
     windowed_coherence_shift,
 )
@@ -202,8 +201,13 @@ def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
         bounds = rest.split(":")
         if len(bounds) != 3:
             raise ArgumentTypeError(f"{name} expects START:STOP:COUNT, got {rest!r}")
-        start, stop = (_convert(name, _NUMBER, bound) for bound in bounds[:2])
-        raw = np.linspace(start, stop, _convert("COUNT", _count(_MAX_ROWS), bounds[2]))
+        finite = _Rule(float, math.isfinite, "be finite")
+        start, stop = (_convert(name, finite, bound) for bound in bounds[:2])
+        count = _convert("COUNT", _count(_MAX_ROWS), bounds[2])
+        with np.errstate(over="ignore", invalid="ignore"):  # stop - start overflows
+            raw = np.linspace(start, stop, count)
+        if not np.isfinite(raw).all():
+            raise ArgumentTypeError(f"{name}={rest} spans more than double precision")
     return name, tuple(_convert(name, table[name][0], value) for value in raw)
 
 
@@ -397,7 +401,7 @@ def _run_single_mode(v: dict, output: str | None) -> int:
     )
     print(
         f"windowed shift={windowed_coherence_shift(state, mode, traj)!r} "
-        f"bound={max_recoherence(mode, traj)!r} "
+        f"bound={split.max_shift!r} "
         f"vacuum={split.vacuum!r} total={split.total!r}",
         file=sys.stderr,
     )

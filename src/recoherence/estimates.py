@@ -32,7 +32,7 @@ from .multimode_band import _cell_volume
 from .single_mode import _mode_shift, max_recoherence
 from .squeezed_state import ModeSpec
 from .trajectory import Trajectory
-from ._special import j2_over_x, j2_prime_numerator
+from ._special import j2_over_x
 
 _FULL_SPHERE = 4.0 * math.pi
 
@@ -52,20 +52,19 @@ def coupling_envelope(x):
     return float(out) if out.ndim == 0 else out
 
 
+#: the double nearest x* = 3.342093657365694158827..., the first root of j2'
+_ENVELOPE_PEAK = 3.342093657365694
+
+
 def locate_envelope_max() -> tuple[float, float]:
     """Position and height of the first maximum of the coupling envelope.
 
     F = 1024*j2^2 with j2 > 0 throughout [3.0, 3.7], so F' vanishes
-    exactly where j2' does, i.e. at the root of the closed-form numerator
-    D(x) = x^4 * j2'(x).  Newton steps on D from x = 3.34 double the
-    correct digits each time; the third already lands on the double
-    nearest the root x* = 3.34209365736569..., the rest confirm it.
+    exactly where j2' does.  Its first root x* is a constant, stored as the
+    nearest double; ``tests/test_special.py`` re-derives it from 50-digit
+    mpmath and ``tests/test_estimates.py`` freezes the height.
     """
-    x = 3.34
-    for _ in range(6):
-        value, slope = j2_prime_numerator(x)
-        x -= value / slope
-    return x, coupling_envelope(x)
+    return _ENVELOPE_PEAK, coupling_envelope(_ENVELOPE_PEAK)
 
 
 @dataclass(frozen=True)
@@ -100,29 +99,24 @@ class CavityScenario:
         ratio_rt: float,
         lambda3_over_volume: float = 1.0,
         apex_over_wavelength: float = 1.0,
-        wavelength: float = 1.0,
     ) -> "CavityScenario":
         """Build from the dimensionless knobs the estimate depends on.
 
         ratio_rt fixes apex/half_time, lambda3_over_volume the mode
-        confinement, apex_over_wavelength the excursion scale; the
-        wavelength itself only sets overall units.
+        confinement, apex_over_wavelength the excursion scale; lengths and
+        times are in units of the wavelength.
         """
-        knobs = (ratio_rt, lambda3_over_volume, apex_over_wavelength, wavelength)
-        names = "ratio_rt", "lambda3_over_volume", "apex_over_wavelength", "wavelength"
-        ratio_rt, confinement, excursion, wavelength = (
+        knobs = (ratio_rt, lambda3_over_volume, apex_over_wavelength)
+        names = "ratio_rt", "lambda3_over_volume", "apex_over_wavelength"
+        ratio_rt, confinement, apex = (
             _finite_input(name, value, positive=True)
             for name, value in zip(names, knobs)
         )
         # a derived value that leaves double precision names the knob behind it
-        apex = _representable(
-            excursion * wavelength, f"apex_over_wavelength={excursion!r} gives an apex"
-        )
         return cls(
-            wavelength=wavelength,
+            wavelength=1.0,
             volume=_representable(
-                wavelength * wavelength * wavelength / confinement,
-                f"lambda3_over_volume={confinement!r} gives a volume",
+                1.0 / confinement, f"lambda3_over_volume={confinement!r} gives a volume"
             ),
             apex=apex,
             half_time=_representable(

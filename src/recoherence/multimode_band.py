@@ -146,18 +146,14 @@ def _each_block(fill: Callable[[int], None], n: int) -> None:
     """
     starts = range(0, n, _MODE_BLOCK)
     workers = min(_available_cpus(), len(starts), _MAX_WORKERS)
-    failed_at, failure = n, None  # the lowest failing start and its exception
-    lock = threading.Lock()
+    failures = {}  # failing start -> its exception, at most one per worker
 
     def work(mine: range) -> None:
-        nonlocal failed_at, failure
         for start in mine:
             try:
                 fill(start)
             except BaseException as exc:
-                with lock:
-                    if start < failed_at:
-                        failed_at, failure = start, exc
+                failures[start] = exc
                 return
 
     threads = [
@@ -171,8 +167,8 @@ def _each_block(fill: Callable[[int], None], n: int) -> None:
     work(starts[::workers])
     for thread in threads:
         thread.join()
-    if failure is not None:
-        raise failure
+    if failures:
+        raise failures[min(failures)]
 
 
 def band_coherence_shift_exact(

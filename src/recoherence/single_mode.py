@@ -301,7 +301,7 @@ def unitarity_sum(mode: ModeSpec, traj: Trajectory) -> UnitaritySplit:
 
 
 def _table(r, theta, omega, volume, apex, t0) -> dict:
-    """The sweep's columns, and "envelope", at arrays that broadcast (T = 1).
+    """The sweep's columns at arrays that broadcast (T = 1).
 
     Each factor takes the shape of the inputs it depends on, and the bits of
     the scalar functions above (kernels of r run per value, j2 as one array);
@@ -314,7 +314,7 @@ def _table(r, theta, omega, volume, apex, t0) -> dict:
         w_r_max = _max_shift(omega, volume, envelope)
         w_r = shift * g
         return dict(
-            envelope=envelope, g=g, w_r=w_r, contrast_factor=_each(_contrast, w_r),
+            g=g, w_r=w_r, contrast_factor=_each(_contrast, w_r),
             window_width=2.0 * _window_half_width(r, omega), g_avg=g_avg,
             w_r_avg=shift * g_avg, w_r_max=w_r_max, w_total=0.5 * shift + w_r_max,
         )

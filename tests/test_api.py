@@ -101,6 +101,12 @@ _ALL = [(recoherence, name, params) for name, params in _API.items()] + [
 ]
 
 
+def test_from_ratios_parameter_names_are_frozen():
+    # the scenario is built in units of the wavelength: no wavelength knob
+    params = inspect.signature(recoherence.CavityScenario.from_ratios).parameters
+    assert tuple(params) == ("ratio_rt", "lambda3_over_volume", "apex_over_wavelength")
+
+
 @pytest.mark.parametrize(
     "module,name,params", _ALL, ids=[f"{m.__name__}.{n}" for m, n, _ in _ALL]
 )

@@ -182,6 +182,36 @@ def test_oracle_starved_tolerance_exits_two(monkeypatch, capsys):
     assert out == ""
 
 
+def test_oracle_disagreement_exits_two(monkeypatch, capsys):
+    # a quadrature off by 1e-5 of the closed form: the table is written,
+    # then the worst point and the verdict
+    quad = cli.quad_coherence_shift
+    monkeypatch.setattr(cli, "quad_coherence_shift", lambda *a: quad(*a) * (1 + 1e-5))
+    assert cli.main(["oracle", "--grid", "quick"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 + 16
+    assert err.endswith("recoherence: oracle disagreement above 1e-06\n")
+
+
+def test_starved_band_integral_exits_two(monkeypatch, capsys):
+    # a two-point rule at 16 nodes a period cannot settle the band integral;
+    # main reports the ConvergenceError as one line
+    monkeypatch.setattr(oracle_quadrature, "_ORDER", 2)
+    monkeypatch.setattr(oracle_quadrature, "_NODES_PER_PERIOD", 16)
+    assert cli.main(["band"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("recoherence: did not converge: oscillatory integral")
+
+
+def test_unwritable_output_exits_one(run_cli, tmp_path):
+    proc = run_cli("single-mode", "--output", str(tmp_path / "missing" / "x.csv"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("recoherence: i/o error:")
+
+
 def test_sweep_determinism(run_cli, tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -265,6 +295,23 @@ def test_unknown_config_key_exits_one(run_cli, tmp_path):
     proc = run_cli("single-mode", "--config", str(ini))
     assert proc.returncode == 1
     assert "unknown key" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("r = 1\n", "cannot parse config file"),
+        ("[band]\nr = 1\n", "has no [single-mode] section"),
+    ],
+    ids=["no-header", "no-section"],
+)
+def test_unusable_config_file_exits_one(run_cli, tmp_path, text, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text, encoding="utf-8")
+    proc = run_cli("single-mode", "--config", str(ini))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("recoherence: config error:")
+    assert message in proc.stderr
 
 
 def test_missing_config_file_exits_one(run_cli, tmp_path):
@@ -426,6 +473,8 @@ def test_single_mode_edge_frequency_exits_one(capsys, edge):
         (["estimate", "cavity", "--lambda3-over-V", "5e-324"],
          ("lambda3_over_volume=",)),
         (["estimate", "empty-space", "--omega-bar-T", "5e-324"], ("flight_phase=",)),
+        (["single-mode", "--r", "349", "--lambda3-over-V", "1e300"],
+         ("coherence shift overflows double precision",)),
     ],
     ids="_".join,
 )
@@ -567,6 +616,29 @@ def test_bad_value_exits_one(run_cli, argv):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith(("recoherence: error:", "recoherence: config error:"))
+
+
+@pytest.mark.parametrize(
+    "axes,message",
+    [
+        (["r=0:inf:3"], "r must be finite, got inf"),
+        (["t0-omega=-1e308:1e308:3"],
+         "t0-omega=-1e308:1e308:3 spans more than double precision"),
+        (["r=inf:inf:1"], "r must be finite, got inf"),
+        (["r"], "expected NAME=VALUES, got 'r'"),
+        (["r=1:2"], "r expects START:STOP:COUNT, got '1:2'"),
+        (["r=1", "r=2"], "duplicate --vary axes: r, r"),
+    ],
+    ids=["inf-stop", "span-overflow", "inf-start", "no-values", "two-bounds", "twice"],
+)
+def test_unusable_vary_axis_exits_one(run_cli, axes, message):
+    # a range bound or span beyond double precision is refused as typed,
+    # before numpy can warn about it or turn it into nan
+    proc = run_cli("sweep", *(arg for axis in axes for arg in ("--vary", axis)))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "encountered" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("recoherence: config error:") and line.endswith(message)
 
 
 @pytest.mark.parametrize("option", ["abs-tol", "nodes-per-period", "rel-tol"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from recoherence import SQUEEZE_CAP, locate_envelope_max
 from recoherence._special import (
     j2_over_x,
-    j2_prime_numerator,
     phase_weight,
     phase_weight_max,
 )
@@ -122,16 +121,6 @@ def test_j2_over_x_array_edges():
     with_nan = j2_over_x(np.array([math.nan, 3.0]))
     assert math.isnan(with_nan[0]) and with_nan[1] == three
     assert j2_over_x(np.array([])).shape == (0,)
-
-
-@pytest.mark.parametrize("x", [0.5, 2.0, 3.342, 7.0, 30.0])
-def test_j2_prime_numerator_is_x4_times_the_derivative(x):
-    def numerator(t):
-        return t**4 * mpmath.diff(_j2, t)
-
-    value, slope = j2_prime_numerator(x)
-    assert abs(value - numerator(x)) <= 1e-14 * x**3
-    assert abs(slope - mpmath.diff(numerator, x)) <= 1e-13 * x**3
 
 
 def test_envelope_max_is_the_root_of_j2_prime():
