@@ -8,6 +8,15 @@ rewrite that is exact over the full supported range.  Only ``math`` and
 numpy are used: a Python float takes a ``math`` fast path, an array of x or
 of the phase one numpy pass, and ``_each`` maps a kernel of r over an array.
 
+The per-mode kernels here and in ``single_mode`` take an optional
+numpy-style ``out`` for their array path, and those that need room for
+intermediate values also take ``work``, arrays shaped like the value that
+the call overwrites.  Given both, an array call allocates nothing, so a loop
+over blocks of modes can reuse one workspace.  Each kernel is written once,
+as a chain of ``_mul``/``_div``/``_add``/``_sub`` steps in the order of the
+expression, so a float, an array and an array written into ``out`` get the
+same bits.
+
 j2(x)/x, with j2 the spherical Bessel function (DLMF 10.49.3, 10.53.1),
 is evaluated in two pieces that meet at ``_J2_SERIES_CUT`` = 2:
 
@@ -52,6 +61,31 @@ def _each(kernel, *args):
         return np.asarray(np.frompyfunc(kernel, len(args), 1)(*args), dtype=float)
 
 
+def _mul(a, b, out=None):
+    """a * b, written into ``out`` when given (a float stays a Python float)."""
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _div(a, b, out=None):
+    """a / b, written into ``out`` when given."""
+    return a / b if out is None else np.divide(a, b, out=out)
+
+
+def _add(a, b, out=None):
+    """a + b, written into ``out`` when given."""
+    return a + b if out is None else np.add(a, b, out=out)
+
+
+def _sub(a, b, out=None):
+    """a - b, written into ``out`` when given."""
+    return a - b if out is None else np.subtract(a, b, out=out)
+
+
+def _split(work):
+    """``work[0]`` and the rest of ``work``; None and None without work."""
+    return (None, None) if work is None else (work[0], work[1:])
+
+
 def _j2_over_x_series(x):
     q = x * x
     s = _J2_SERIES[-1]
@@ -60,16 +94,22 @@ def _j2_over_x_series(x):
     return x * s
 
 
-def _j2_over_x_trig(x, sin_x, cos_x):
-    u = 1.0 / x
-    return ((3.0 * u * u - 1.0) * sin_x - 3.0 * cos_x * u) * u * u
+def _j2_over_x_trig(u, sin_x, cos_x, out=None):
+    """((3*u^2 - 1)*sin(x) - 3*cos(x)*u)*u^2 at u = 1/x, floats or arrays;
+    with ``out`` the cosine term is formed over ``cos_x``."""
+    term = None if out is None else cos_x
+    term = _mul(_mul(3.0, cos_x, term), u, term)
+    value = _mul(_sub(_mul(_mul(3.0, u, out), u, out), 1.0, out), sin_x, out)
+    return _mul(_mul(_sub(value, term, out), u, out), u, out)
 
 
-def j2_over_x(x):
+def j2_over_x(x, out=None, work=None):
     """j2(x)/x with j2 the spherical Bessel function; -> x/15 as x -> 0.
 
     Accepts a scalar or an array; returns a float or an array of the same
-    shape.  Odd in x, finite for every finite x, and 0 at +-inf.
+    shape.  Odd in x, finite for every finite x, and 0 at +-inf.  An array
+    x all on the trigonometric side allocates nothing given ``out`` and
+    ``work``, three arrays shaped like x (1/x, sin x and cos x).
     """
     if isinstance(x, (float, int)):
         x = float(x)
@@ -77,24 +117,30 @@ def j2_over_x(x):
             return _j2_over_x_series(x)
         if math.isinf(x):
             return 0.0
-        return _j2_over_x_trig(x, math.sin(x), math.cos(x))
+        return _j2_over_x_trig(1.0 / x, math.sin(x), math.cos(x))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return j2_over_x(float(x))
-    magnitude = np.abs(x)
-    if x.size and _J2_SERIES_CUT <= magnitude.min() and magnitude.max() < math.inf:
-        # every point finite and on the trigonometric side (nan fails too)
-        return _j2_over_x_trig(x, np.sin(x), np.cos(x))
-    out = np.empty_like(x)
-    small = magnitude < _J2_SERIES_CUT
-    out[small] = _j2_over_x_series(x[small])
+    if x.size:
+        low, high = x.min(), x.max()
+        # every point finite and on one trigonometric side (nan fails too)
+        if (_J2_SERIES_CUT <= low and high < math.inf) or (
+            -math.inf < low and high <= -_J2_SERIES_CUT
+        ):
+            u, sin_x, cos_x = (None,) * 3 if work is None else work[:3]
+            return _j2_over_x_trig(
+                np.divide(1.0, x, out=u), np.sin(x, out=sin_x), np.cos(x, out=cos_x), out
+            )
+    value = np.empty_like(x) if out is None else out
+    small = np.abs(x) < _J2_SERIES_CUT
+    value[small] = _j2_over_x_series(x[small])
     big = ~small
     xb = x[big]
     with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended below
-        out[big] = np.where(
-            np.isinf(xb), 0.0, _j2_over_x_trig(xb, np.sin(xb), np.cos(xb))
+        value[big] = np.where(
+            np.isinf(xb), 0.0, _j2_over_x_trig(1.0 / xb, np.sin(xb), np.cos(xb))
         )
-    return out
+    return value
 
 
 def window_half_angle(r: float) -> float:
@@ -107,7 +153,7 @@ def window_half_angle(r: float) -> float:
     return 2.0 * math.atan(math.exp(-r))
 
 
-def phase_weight(r: float, phase):
+def phase_weight(r: float, phase, out=None, work=None):
     """eta*(mu*cos(phase) + eta) for mu = cosh r, eta = sinh r.
 
     Written as the exact rearrangement
@@ -117,13 +163,17 @@ def phase_weight(r: float, phase):
     because the direct form subtracts two O(e^{2r}) numbers near
     phase = pi and returns garbage already for r > 18.  The rewrite keeps
     full precision at the minimum for every admissible r.  Scalars give a
-    float; arrays of r and of the phase broadcast to an array.
+    float; arrays of r and of the phase broadcast to an array.  With
+    ``out`` and ``work`` (one array, which may be ``phase``) an array phase
+    allocates nothing.
     """
     if isinstance(phase, (float, int)):
         c = math.cos(0.5 * phase)
     else:
-        c = np.cos(0.5 * np.asarray(phase, dtype=float))
-    return _each(phase_weight_min, r) + _each(lambda x: math.sinh(2.0 * x), r) * c * c
+        w, _ = _split(work)
+        c = np.cos(_mul(0.5, np.asarray(phase, dtype=float), w), out=w)
+    weight = _mul(_mul(_each(lambda x: math.sinh(2.0 * x), r), c, out), c, out)
+    return _add(_each(phase_weight_min, r), weight, out)
 
 
 def phase_weight_min(r: float) -> float:

@@ -76,7 +76,8 @@ class ConfigError(ValueError):
 
 
 class _Rule(NamedTuple):
-    """A type and the check ``ok``; ``text`` completes "<option> must ..." errors."""
+    """A type and the check ``ok``; ``text`` completes "<option> must ..." errors.
+    The ``ok`` of a number takes an array too, marking each value."""
 
     typ: type
     ok: Callable = lambda value: True
@@ -85,9 +86,9 @@ class _Rule(NamedTuple):
 
 _NUMBER = _Rule(float, text="be a number")
 # _mode_from divides by these before a ModeSpec exists
-_POSITIVE = _Rule(float, lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
+_POSITIVE = _Rule(float, lambda v: np.isfinite(v) & (v > 0.0), "be finite and > 0")
 # EmptySpaceScenario only warns about a band this wide
-_FRACTION = _Rule(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_FRACTION = _Rule(float, lambda v: (0.0 < v) & (v < 1.0), "lie in (0, 1)")
 
 
 def _count(cap: int) -> _Rule:
@@ -189,26 +190,33 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
     """argparse type of --vary: NAME=v1,v2,... or NAME=START:STOP:COUNT,
-    every value through NAME's own rule."""
+    every value through NAME's own rule (a range's as one array)."""
     name, sep, rest = (part.strip() for part in spec.partition("="))
     if not sep or not rest:
         raise ArgumentTypeError(f"expected NAME=VALUES, got {spec!r}")
     table = _OPTIONS["sweep"]
     if name not in table:
         raise ArgumentTypeError(f"axis {name!r} is not one of: {', '.join(table)}")
-    raw = rest.split(",")
-    if ":" in rest:
-        bounds = rest.split(":")
-        if len(bounds) != 3:
-            raise ArgumentTypeError(f"{name} expects START:STOP:COUNT, got {rest!r}")
-        finite = _Rule(float, math.isfinite, "be finite")
-        start, stop = (_convert(name, finite, bound) for bound in bounds[:2])
-        count = _convert("COUNT", _count(_MAX_ROWS), bounds[2])
+    rule = table[name][0]
+    if ":" not in rest:
+        return name, tuple(_convert(name, rule, value) for value in rest.split(","))
+    bounds = rest.split(":")
+    if len(bounds) != 3:
+        raise ArgumentTypeError(f"{name} expects START:STOP:COUNT, got {rest!r}")
+    finite = _Rule(float, math.isfinite, "be finite")
+    start, stop = (_convert(name, finite, bound) for bound in bounds[:2])
+    count = _convert("COUNT", _count(_MAX_ROWS), bounds[2])
+    if count == 1:  # START alone: no span to overflow
+        values = np.array([start])
+    else:
         with np.errstate(over="ignore", invalid="ignore"):  # stop - start overflows
-            raw = np.linspace(start, stop, count)
-        if not np.isfinite(raw).all():
+            values = np.linspace(start, stop, count)
+        if not np.isfinite(values).all():
             raise ArgumentTypeError(f"{name}={rest} spans more than double precision")
-    return name, tuple(_convert(name, table[name][0], value) for value in raw)
+    ok = rule.ok(values)
+    if not np.all(ok):  # the first value refused, with its message
+        _convert(name, rule, values[np.argmin(ok)])
+    return name, tuple(values.tolist())
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -261,8 +269,9 @@ def _load_config_section(path: str, command: str) -> dict:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    except configparser.Error as exc:  # configparser's message spans lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse config file {path}: {message}") from exc
     if not parser.has_section(command):
         raise ConfigError(f"config file {path} has no [{command}] section")
     table = _OPTIONS[command]
@@ -513,11 +522,19 @@ def _run_estimate(v: dict, output: str | None) -> int:
     return 0
 
 
+def _refuse_first(values: np.ndarray, ok: np.ndarray, check: Callable) -> None:
+    """check(value) at the first of ``values`` that ``ok`` marks False: the
+    scalar check, which raises that value's DomainError."""
+    if not ok.all():
+        check(values.flat[np.argmin(ok)])
+
+
 def sweep(values: dict, output: str | None) -> int:
     """Cartesian sweep over the ``vary`` axes, row-major in axis order.
 
-    Each value of r, theta, ratio-RT and t0-omega first goes once through
-    the check the scalar path makes of it, and the first it refuses with
+    The values of r, theta, ratio-RT and t0-omega are first checked as the
+    scalar path checks them (r, theta and t0-omega as arrays, the scalar
+    check run only on a value refused), and the first refused with
     DomainError ends the sweep.  Each column is then computed once at the
     shape of the axes it depends on (``single_mode._table``) and each value
     formatted once.  The rows the scalar path refuses with RangeError are
@@ -534,14 +551,13 @@ def sweep(values: dict, output: str | None) -> int:
     inputs = {key: np.full((1,) * len(shape), values[key]) for key in _OPTIONS["sweep"]}
     inputs.update(zip(names, np.ix_(*(axis for _, axis in values["vary"]))))
     r, theta, omega, apex, ratio, t0_omega = inputs.values()
-    for value in r.flat:  # each value once through its scalar check, in table order
-        with contextlib.suppress(RangeError):  # above the cap: range_error rows
-            SqueezeState(value)
-    for value in theta.flat:
-        SqueezeState(0.0, value)
+    # in table order; r above the cap gives range_error rows, not an error
+    _refuse_first(r, np.isfinite(r) & (r >= 0.0), SqueezeState)
+    _refuse_first(theta, np.isfinite(theta), lambda value: SqueezeState(0.0, value))
     fast = [t for t in (Trajectory(a, 1.0) for a in apex.flat) if t.is_relativistic]
-    for value in t0_omega.flat:
-        _finite_input("emission time", value)
+    _refuse_first(
+        t0_omega, np.isfinite(t0_omega), lambda v: _finite_input("emission time", v)
+    )
     if fast:
         _warn_relativistic(fast[0])
     volume = _each(_mode_volume, omega, ratio)

@@ -37,21 +37,21 @@ from .oracle_quadrature import integrate_oscillatory
 from .single_mode import _mode_shift, _modulation
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import windowed_phase_weight
+from ._special import _div, windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
 
-#: largest mode count of mode_sum_oracle (8 bytes a mode, plus one block's
-#: temporaries per worker thread)
+#: largest mode count of mode_sum_oracle: it bounds the time of one call
+#: (about 0.5 s on two cores); the memory does not grow with the count
 MAX_MODES = 10**7
 
-#: modes each worker of mode_sum_oracle evaluates at a time: 128 KB a
-#: temporary, so the temporaries of one block stay in a core's L2 cache
+#: modes each worker of mode_sum_oracle evaluates at a time: 128 KB an array
+#: of its workspace, so one block's values stay in a core's L2 cache
 _MODE_BLOCK = 2**14
 
 #: most worker threads of mode_sum_oracle, one per available CPU: it bounds
-#: the block temporaries held at once
+#: the workspaces held at once
 _MAX_WORKERS = 4
 
 
@@ -111,16 +111,18 @@ class BandSpec:
         return self.half_width / self.center
 
 
-def _cell_volume(solid_angle: float, omega, width):
+def _cell_volume(solid_angle: float, omega, width, out=None):
     """(2*pi)^3/(solid_angle*omega^2*width), the volume V one phase-space
-    cell of the beam stands in for, at a scalar or an array omega.
+    cell of the beam stands in for, at a scalar or an array omega (written
+    into ``out`` when given).
 
     Divided factor by factor: a cell too sparse for double precision gets
     V = inf and a shift that rounds to 0; a V that underflows to 0 raises.
     """
     with np.errstate(over="ignore"):
-        volume = (2.0 * math.pi) ** 3 / solid_angle / omega / omega / width
-    if not np.all(volume > 0.0):
+        volume = _div((2.0 * math.pi) ** 3 / solid_angle, omega, out)
+        volume = _div(_div(volume, omega, out), width, out)
+    if not np.min(volume) > 0.0:
         raise RangeError("phase-space cell volume underflows double precision")
     return volume
 
@@ -133,9 +135,9 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each_block(fill: Callable[[int], None], n: int) -> None:
+def _each_block(new_fill: Callable[[], Callable[[int], None]], n: int) -> None:
     """fill(start) for every block start of n modes, on up to _MAX_WORKERS
-    threads.
+    threads, each worker with the fill that new_fill() gives it.
 
     Worker k takes every workers-th start from the k-th, in order; the
     calling thread is worker 0, so at one worker no thread starts.  Each
@@ -149,12 +151,13 @@ def _each_block(fill: Callable[[int], None], n: int) -> None:
     failures = {}  # failing start -> its exception, at most one per worker
 
     def work(mine: range) -> None:
-        for start in mine:
-            try:
+        start = mine[0]  # each worker has a start: workers <= len(starts)
+        try:
+            fill = new_fill()
+            for start in mine:
                 fill(start)
-            except BaseException as exc:
-                failures[start] = exc
-                return
+        except BaseException as exc:
+            failures[start] = exc
 
     threads = [
         threading.Thread(
@@ -252,11 +255,14 @@ def mode_sum_oracle(
 
     Modes are evaluated in blocks of ``_MODE_BLOCK``, shared out to one
     thread per available CPU, at most ``_MAX_WORKERS`` and at most one a
-    block.  Each block writes its own slice of one array, which is summed
-    once, so the value has the same bits at any thread count.  Memory is 8
-    bytes a mode (80 MB at ``MAX_MODES``) plus one block's temporaries per
-    thread.  RangeError when the emission phase, a cell volume or the sum
-    leaves double precision.
+    block.  Each worker evaluates its blocks in one workspace of a few
+    block-sized arrays, allocated once, and stores each block's ``np.sum``
+    at the block's index; the sum of those partial sums is the value, so it
+    has the same bits at any thread count, and up to ``_MODE_BLOCK`` modes
+    it is the one-shot sum.  Memory is about 1 MB a worker and 8 bytes a
+    block, whatever the mode count; ``MAX_MODES`` bounds the time.
+    RangeError when the emission phase, a cell volume or the sum leaves
+    double precision.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
@@ -266,19 +272,31 @@ def mode_sum_oracle(
     # finite at every mode
     for k in (0, n - 1):
         _modulation(state.r, state.theta, lo + (k + 0.5) * cell, t0)
-    shifts = np.empty(n)
+    partials = np.empty(-(-n // _MODE_BLOCK))
 
-    def fill(start: int) -> None:
-        block = shifts[start : start + _MODE_BLOCK]
-        omegas = lo + (np.arange(start, start + block.size) + 0.5) * cell
-        block[:] = _mode_shift(
-            omegas, _cell_volume(band.solid_angle, omegas, cell), traj
-        )
-        block *= _modulation(state.r, state.theta, omegas, t0)
+    def new_fill() -> Callable[[int], None]:
+        offsets = np.arange(_MODE_BLOCK, dtype=float)
+        workspace = np.empty((7, _MODE_BLOCK))
+
+        def fill(start: int) -> None:
+            size = min(_MODE_BLOCK, n - start)
+            omegas, shift, *work = workspace[:, :size]
+            # lo + (k + 0.5)*cell at mode k = start + offset, exact in k
+            np.add(offsets[:size], start + 0.5, out=omegas)
+            omegas *= cell
+            omegas += lo
+            volume = _cell_volume(band.solid_angle, omegas, cell, out=shift)
+            _mode_shift(omegas, volume, traj, out=shift, work=work)
+            shift *= _modulation(
+                state.r, state.theta, omegas, t0, out=work[0], work=work[1:]
+            )
+            partials[start // _MODE_BLOCK] = np.sum(shift)
+
+        return fill
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
-        _each_block(fill, n)
-        return _finite_result(float(np.sum(shifts)), "mode sum")
+        _each_block(new_fill, n)
+        return _finite_result(float(np.sum(partials)), "mode sum")
 
 
 __all__ = [

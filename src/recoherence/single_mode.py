@@ -48,7 +48,11 @@ from .errors import _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 from ._special import (
+    _div,
     _each,
+    _mul,
+    _split,
+    _sub,
     j2_over_x,
     phase_weight,
     phase_weight_max,
@@ -111,34 +115,43 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     return _checked_envelope(mode.omega, traj)
 
 
-def _envelope(s, apex):
+def _envelope(s, apex, out=None):
     """M = (16*R*s)^2 at s = j2(omega*T)/(omega*T), scalars or arrays: squared
-    as one amplitude, so M is inf only where M itself overflows."""
-    amplitude = 16.0 * (apex * s)
-    return amplitude * amplitude
+    as one amplitude, so M is inf only where M itself overflows.  ``out``
+    may be ``s``."""
+    amplitude = _mul(16.0, _mul(apex, s, out), out)
+    return _mul(amplitude, amplitude, out)
 
 
-def _checked_envelope(omega, traj: Trajectory):
+def _checked_envelope(omega, traj: Trajectory, out=None, work=None):
     """M of one trajectory at a scalar or an array omega; RangeError once an
-    M leaves double precision (M >= 0, so the largest decides)."""
+    M leaves double precision (M >= 0, so the largest decides).  ``work``:
+    four arrays shaped like omega (omega*T, then j2_over_x's three)."""
     if isinstance(omega, float):
         s = j2_over_x(omega * traj.half_time)
         return _finite_result(_envelope(s, traj.apex), "mode envelope")
+    x, work = _split(work)
     with np.errstate(over="ignore"):
-        m = _envelope(j2_over_x(omega * traj.half_time), traj.apex)
+        s = j2_over_x(_mul(omega, traj.half_time, x), out, work)
+        m = _envelope(s, traj.apex, out)
     _finite_result(m.max(), "mode envelope")
     return m
 
 
-def _mode_shift(omega, volume, traj: Trajectory):
+def _mode_shift(omega, volume, traj: Trajectory, out=None, work=None):
     """-(8*pi*alpha/(V*omega)) * M of one trajectory at a scalar or an array
-    omega, for the closed forms, the band and the estimates."""
-    return _per_mode(omega, volume, _checked_envelope(omega, traj))
+    omega, for the closed forms, the band and the estimates.  ``out`` may be
+    ``volume``; ``work``: five arrays shaped like omega (M, then the
+    envelope's four)."""
+    m, work = _split(work)
+    return _per_mode(omega, volume, _checked_envelope(omega, traj, m, work), out)
 
 
-def _per_mode(omega, volume, envelope):
-    """-(8*pi*alpha/(V*omega)) * M at scalars or arrays: the one place it is."""
-    return -8.0 * math.pi * FINE_STRUCTURE / (volume * omega) * envelope
+def _per_mode(omega, volume, envelope, out=None):
+    """-(8*pi*alpha/(V*omega)) * M at scalars or arrays: the one place it is.
+    ``out`` may be ``volume``."""
+    coupling = _div(-8.0 * math.pi * FINE_STRUCTURE, _mul(volume, omega, out), out)
+    return _mul(coupling, envelope, out)
 
 
 def _max_shift(omega, volume, envelope):
@@ -157,14 +170,16 @@ def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
     return _modulation(state.r, state.theta, mode.omega, t0)
 
 
-def _modulation(r, theta, omega, t0):
+def _modulation(r, theta, omega, t0, out=None, work=None):
     """g at emission time t0 for scalars or arrays that broadcast: the one
     place the emission phase 2*omega*t0 - theta is written.  A scalar phase
-    outside double precision raises RangeError, an array one gives nan."""
-    phase = 2.0 * omega * t0 - theta
+    outside double precision raises RangeError, an array one gives nan.
+    ``work``: one array shaped like omega, for the phase."""
+    w, _ = _split(work)
+    phase = _sub(_mul(_mul(2.0, omega, w), t0, w), theta, w)
     if isinstance(phase, float):
         _finite_result(phase, "emission phase")
-    return phase_weight(r, phase)
+    return phase_weight(r, phase, out, work)
 
 
 def modulation_min(state: SqueezeState) -> float:

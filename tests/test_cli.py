@@ -302,16 +302,19 @@ def test_unknown_config_key_exits_one(run_cli, tmp_path):
     [
         ("r = 1\n", "cannot parse config file"),
         ("[band]\nr = 1\n", "has no [single-mode] section"),
+        ("[single-mode]\nr = 1\njunk\n", "cannot parse config file"),
     ],
-    ids=["no-header", "no-section"],
+    ids=["no-header", "no-section", "no-equals"],
 )
 def test_unusable_config_file_exits_one(run_cli, tmp_path, text, message):
+    # configparser's own messages span lines; the error is one line
     ini = tmp_path / "run.ini"
     ini.write_text(text, encoding="utf-8")
     proc = run_cli("single-mode", "--config", str(ini))
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("recoherence: config error:")
-    assert message in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("recoherence: config error:")
+    assert message in line
 
 
 def test_missing_config_file_exits_one(run_cli, tmp_path):
@@ -639,6 +642,35 @@ def test_unusable_vary_axis_exits_one(run_cli, axes, message):
     assert "encountered" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("recoherence: config error:") and line.endswith(message)
+
+
+@pytest.mark.parametrize(
+    "axis,message",
+    [
+        ("r=2,-1,3", "squeeze magnitude must be >= 0, got -1.0"),
+        ("theta=0,nan,1", "theta must be finite, got nan"),
+        ("t0-omega=0,inf,1", "emission time must be finite, got inf"),
+        ("omega-bar-T=1:-1:3", "omega-bar-T must be finite and > 0, got 0.0"),
+    ],
+    ids=["r", "theta", "t0-omega", "omega-range"],
+)
+def test_value_refused_inside_an_axis_is_named(capsys, axis, message):
+    # the axis is checked as an array; the scalar check names the value
+    assert cli.main(["sweep", "--vary", "ratio-RT=0.1,0.2", "--vary", axis]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("recoherence: ") and line.endswith(message)
+
+
+def test_range_of_one_value_is_its_start(capsys):
+    # COUNT = 1 has no span to overflow: the START row, range_error and all
+    rows = []
+    for axis in ("t0-omega=-1e308:1e308:1", "t0-omega=-1e308"):
+        assert cli.main(["sweep", "--vary", axis]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+    assert rows[0].splitlines()[1].endswith(",-1e+308" + ",nan" * 8 + ",range_error")
 
 
 @pytest.mark.parametrize("option", ["abs-tol", "nodes-per-period", "rel-tol"])

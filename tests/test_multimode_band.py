@@ -1,10 +1,14 @@
+import functools
 import math
+import operator
 import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoherence import (
     BandSpec,
@@ -215,13 +219,20 @@ def test_mode_sum_cap_rejected_before_allocation():
     "n", [1, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7]
 )
 def test_blocked_mode_sum_has_the_one_shot_bits(n):
-    # blocks change where the shifts are computed, not a single operation
+    # the workspace changes where the shifts are computed, not a single
+    # operation: the in-order sum of each block's np.sum of the allocating
+    # kernels, which up to one block is the one-shot sum of every shift
     state, band, traj = _setup(0.7)
     cell = 2.0 * band.half_width / n
-    omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
-    shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
-    one_shot = float(np.sum(shifts * _modulation(state.r, state.theta, omegas, 0.3)))
-    assert mode_sum_oracle(state, band, traj, n, 0.3).hex() == one_shot.hex()
+    partials = []
+    for start in range(0, n, _MODE_BLOCK):
+        k = np.arange(start, min(n, start + _MODE_BLOCK))
+        omegas = band.edges[0] + (k + 0.5) * cell
+        shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
+        g = _modulation(state.r, state.theta, omegas, 0.3)
+        partials.append(float(np.sum(shifts * g)))
+    want = functools.reduce(operator.add, partials)
+    assert mode_sum_oracle(state, band, traj, n, 0.3).hex() == want.hex()
 
 
 @pytest.mark.parametrize("t0", [1e308, -1e308])
@@ -233,16 +244,21 @@ def test_emission_phase_overflow_is_named(t0):
         mode_sum_oracle(state, band, traj, 16, t0)
 
 
-def test_mode_sum_memory_is_one_array_and_a_block():
+def test_mode_sum_memory_is_one_array_and_a_block(monkeypatch):
+    # one workspace a worker (eight block-sized arrays, 1 MiB) and 8 bytes a
+    # block, whatever the mode count: a block-sized array allocated per
+    # block, or 8 bytes a mode, breaks the bound
     state, band, traj = _setup()
-    n = 10**6
-    tracemalloc.start()
-    try:
-        mode_sum_oracle(state, band, traj, n, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n + 8 * 10**6  # the shifts, and 8 MB for a block
+    _pin_workers(monkeypatch, multimode_band._MAX_WORKERS)
+    bound = multimode_band._MAX_WORKERS * 2**20 + 2**17
+    for n in (10**6, 10**7):
+        tracemalloc.start()
+        try:
+            mode_sum_oracle(state, band, traj, n, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n, peak)
 
 
 def _pin_workers(monkeypatch, cpus):
@@ -287,9 +303,9 @@ def test_every_block_keeps_the_callers_errstate(monkeypatch, cpus):
     state, band, traj = _setup()
     seen = []
 
-    def cell_volume(solid_angle, omega, width):
+    def cell_volume(solid_angle, omega, width, out=None):
         seen.append((threading.current_thread(), np.geterr()["under"]))
-        return _cell_volume(solid_angle, omega, width)
+        return _cell_volume(solid_angle, omega, width, out)
 
     monkeypatch.setattr(multimode_band, "_cell_volume", cell_volume)
     started = _pin_workers(monkeypatch, cpus)
@@ -305,10 +321,10 @@ def _fail_blocks(monkeypatch, band, n, starts, before):
     cell = 2.0 * band.half_width / n
     at = {band.edges[0] + (start + 0.5) * cell: start for start in starts}
 
-    def cell_volume(solid_angle, omega, width):
+    def cell_volume(solid_angle, omega, width, out=None):
         start = at.get(np.ravel(omega)[0])
         if start is None:
-            return _cell_volume(solid_angle, omega, width)
+            return _cell_volume(solid_angle, omega, width, out)
         before(start)
         raise RangeError(f"injected at block {start}")
 
@@ -360,3 +376,25 @@ def test_the_lowest_failing_block_wins_when_it_fails_first(monkeypatch):
     _pin_workers(monkeypatch, 2)
     with pytest.raises(RangeError, match=f"injected at block {_MODE_BLOCK}$"):
         mode_sum_oracle(state, band, traj, n, 0.3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+    st.floats(0.0, 5.0),
+    st.floats(-10.0, 10.0),
+)
+def test_per_mode_kernels_written_into_out_have_the_allocating_bits(omegas, r, t0):
+    # the mode sum's workspace route: every step into out or work, the same
+    # operations in the same order as the allocating route
+    omega = np.array(omegas)
+    traj = Trajectory(apex=0.1, half_time=1.3)
+    out, *work = np.full((6, omega.size), np.nan)
+    volume = _cell_volume(0.1, omega, 0.01)
+    assert _cell_volume(0.1, omega, 0.01, out=out) is out
+    assert out.tobytes() == volume.tobytes()
+    shift = _mode_shift(omega, out, traj, out=out, work=work)
+    assert shift is out and out.tobytes() == _mode_shift(omega, volume, traj).tobytes()
+    g = _modulation(r, 0.7, omega, t0, out=work[0], work=work[1:])
+    assert g is work[0]
+    assert g.tobytes() == _modulation(r, 0.7, omega, t0).tobytes()

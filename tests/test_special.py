@@ -146,3 +146,25 @@ def test_import_pulls_in_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "[]"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(2.0, 1e300), min_size=1, max_size=40),
+        st.lists(st.floats(-1e300, -2.0), min_size=1, max_size=40),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    ),
+    st.floats(0.0, SQUEEZE_CAP),
+)
+def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
+    # out and work change where a value is written, not an operation; the
+    # argument is left as it was
+    x = np.array(xs)
+    before = x.tobytes()
+    out, *work = np.full((4, x.size), np.nan)
+    assert j2_over_x(x, out, work) is out
+    assert out.tobytes() == j2_over_x(x).tobytes() and x.tobytes() == before
+    phase = x.copy()
+    got = phase_weight(r, phase, out, [phase])
+    assert got is out and out.tobytes() == phase_weight(r, x).tobytes()
