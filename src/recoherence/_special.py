@@ -17,6 +17,13 @@ as a chain of ``_mul``/``_div``/``_add``/``_sub`` steps in the order of the
 expression, so a float, an array and an array written into ``out`` get the
 same bits.
 
+The two kernels that take a sine or a cosine are split where they take
+it: ``j2_over_x`` is np.sin and np.cos followed by ``_j2_over_x_at``, and
+``phase_weight`` is cos(phase/2) followed by ``_phase_weight_at``.  A caller
+that has the sines and cosines another way (the mode sum turns a phasor
+from mode to mode) calls the ``_at`` kernels; fed the same sines and
+cosines, they give the bits of the whole kernels.
+
 j2(x)/x, with j2 the spherical Bessel function (DLMF 10.49.3, 10.53.1),
 is evaluated in two pieces that meet at ``_J2_SERIES_CUT`` = 2:
 
@@ -121,25 +128,34 @@ def j2_over_x(x, out=None, work=None):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return j2_over_x(float(x))
+    u, sin_x, cos_x = (None,) * 3 if work is None else work[:3]
+    with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended in _j2_over_x_at
+        return _j2_over_x_at(x, np.sin(x, out=sin_x), np.cos(x, out=cos_x), out, u)
+
+
+def _j2_over_x_at(x, sin_x, cos_x, out=None, u=None):
+    """j2_over_x at an array x, given arrays of sin x and cos x.
+
+    All x on one trigonometric side: the trigonometric form, written into
+    ``out`` and with 1/x in ``u`` (which may be x) when given; ``cos_x`` is
+    overwritten then.  Otherwise each x takes its side of the cut, and
+    +-inf gives 0.
+    """
     if x.size:
         low, high = x.min(), x.max()
         # every point finite and on one trigonometric side (nan fails too)
         if (_J2_SERIES_CUT <= low and high < math.inf) or (
             -math.inf < low and high <= -_J2_SERIES_CUT
         ):
-            u, sin_x, cos_x = (None,) * 3 if work is None else work[:3]
-            return _j2_over_x_trig(
-                np.divide(1.0, x, out=u), np.sin(x, out=sin_x), np.cos(x, out=cos_x), out
-            )
+            return _j2_over_x_trig(np.divide(1.0, x, out=u), sin_x, cos_x, out)
     value = np.empty_like(x) if out is None else out
     small = np.abs(x) < _J2_SERIES_CUT
     value[small] = _j2_over_x_series(x[small])
     big = ~small
     xb = x[big]
-    with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended below
-        value[big] = np.where(
-            np.isinf(xb), 0.0, _j2_over_x_trig(1.0 / xb, np.sin(xb), np.cos(xb))
-        )
+    value[big] = np.where(
+        np.isinf(xb), 0.0, _j2_over_x_trig(1.0 / xb, sin_x[big], cos_x[big])
+    )
     return value
 
 
@@ -172,6 +188,12 @@ def phase_weight(r: float, phase, out=None, work=None):
     else:
         w, _ = _split(work)
         c = np.cos(_mul(0.5, np.asarray(phase, dtype=float), w), out=w)
+    return _phase_weight_at(r, c, out)
+
+
+def _phase_weight_at(r, c, out=None):
+    """phase_weight given c = cos(phase/2), scalars or arrays; ``out`` must
+    not be ``c``."""
     weight = _mul(_mul(_each(lambda x: math.sinh(2.0 * x), r), c, out), c, out)
     return _add(_each(phase_weight_min, r), weight, out)
 

@@ -30,6 +30,7 @@ oracle grid out of tolerance).
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import contextlib
 import functools
@@ -533,9 +534,10 @@ def sweep(values: dict, output: str | None) -> int:
     """Cartesian sweep over the ``vary`` axes, row-major in axis order.
 
     The values of r, theta, ratio-RT and t0-omega are first checked as the
-    scalar path checks them (r, theta and t0-omega as arrays, the scalar
-    check run only on a value refused), and the first refused with
-    DomainError ends the sweep.  Each column is then computed once at the
+    scalar path checks them (as arrays, the scalar check run only on a value
+    refused), and the first refused with DomainError ends the sweep.  A
+    Trajectory is built only for the first relativistic ratio-RT, for its
+    speed warning.  Each column is then computed once at the
     shape of the axes it depends on (``single_mode._table``) and each value
     formatted once.  The rows the scalar path refuses with RangeError are
     range_error rows."""
@@ -554,12 +556,18 @@ def sweep(values: dict, output: str | None) -> int:
     # in table order; r above the cap gives range_error rows, not an error
     _refuse_first(r, np.isfinite(r) & (r >= 0.0), SqueezeState)
     _refuse_first(theta, np.isfinite(theta), lambda value: SqueezeState(0.0, value))
-    fast = [t for t in (Trajectory(a, 1.0) for a in apex.flat) if t.is_relativistic]
+    _refuse_first(apex, np.isfinite(apex) & (apex > 0.0), lambda a: Trajectory(a, 1.0))
     _refuse_first(
         t0_omega, np.isfinite(t0_omega), lambda v: _finite_input("emission time", v)
     )
-    if fast:
-        _warn_relativistic(fast[0])
+    # is_relativistic is monotone in the apex: bisect for the least such value
+    ordered = np.unique(apex)
+    least = bisect.bisect_left(
+        ordered, True, key=lambda a: Trajectory(a, 1.0).is_relativistic
+    )
+    if least < ordered.size:
+        first = apex.flat[np.argmax(apex >= ordered[least])]
+        _warn_relativistic(Trajectory(first, 1.0))
     volume = _each(_mode_volume, omega, ratio)
     with np.errstate(all="ignore"):
         t0 = t0_omega / omega

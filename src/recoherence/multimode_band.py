@@ -34,20 +34,22 @@ import numpy as np
 from .errors import DomainError, RangeError, _count_input
 from .errors import _finite_input, _finite_result
 from .oracle_quadrature import integrate_oscillatory
-from .single_mode import _mode_shift, _modulation
+from .single_mode import _checked, _emission_phase, _envelope, _mode_shift
+from .single_mode import _modulation, _per_mode
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import _div, windowed_phase_weight
+from ._special import _div, _j2_over_x_at, _mul, _phase_weight_at
+from ._special import windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
 
 #: largest mode count of mode_sum_oracle: it bounds the time of one call
-#: (about 0.5 s on two cores); the memory does not grow with the count
+#: (about 0.3 s on one or two cores); the memory does not grow with the count
 MAX_MODES = 10**7
 
-#: modes each worker of mode_sum_oracle evaluates at a time: 128 KB an array
-#: of its workspace, so one block's values stay in a core's L2 cache
+#: modes each worker of mode_sum_oracle evaluates at a time: 128 KB a real
+#: array of its workspace, so one block's values stay in a core's L2 cache
 _MODE_BLOCK = 2**14
 
 #: most worker threads of mode_sum_oracle, one per available CPU: it bounds
@@ -255,19 +257,24 @@ def mode_sum_oracle(
 
     Modes are evaluated in blocks of ``_MODE_BLOCK``, shared out to one
     thread per available CPU, at most ``_MAX_WORKERS`` and at most one a
-    block.  Each worker evaluates its blocks in one workspace of a few
-    block-sized arrays, allocated once, and stores each block's ``np.sum``
-    at the block's index; the sum of those partial sums is the value, so it
-    has the same bits at any thread count, and up to ``_MODE_BLOCK`` modes
-    it is the one-shot sum.  Memory is about 1 MB a worker and 8 bytes a
-    block, whatever the mode count; ``MAX_MODES`` bounds the time.
-    RangeError when the emission phase, a cell volume or the sum leaves
-    double precision.
+    block.  No mode takes a sine or cosine of its own: the modes are equally
+    spaced, so e^{i*omega*T} and e^{i*phase/2} of the block's mode j are the
+    block's first phasors turned by the tables e^{i*j*cell*T} and
+    e^{i*j*cell*t0}, built once a call and shared by the workers; one
+    complex multiply a mode and angle.  Each worker evaluates its blocks in
+    one workspace of a few block-sized arrays, allocated once, and stores
+    each block's ``np.sum`` at the block's index; the sum of those partial
+    sums is the value, so it has the same bits at any thread count.  Memory
+    is under 1 MB a worker, 640 KB of tables and 8 bytes a block, whatever
+    the mode count; ``MAX_MODES`` bounds the time.  RangeError when the
+    emission phase, a cell volume, an envelope or the sum leaves double
+    precision.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
     cell = 2.0 * band.half_width / n
     lo = band.edges[0]
+    half_time = traj.half_time
     # 2*omega*t0 - theta is monotone in omega: finite at the end modes,
     # finite at every mode
     for k in (0, n - 1):
@@ -275,28 +282,47 @@ def mode_sum_oracle(
     partials = np.empty(-(-n // _MODE_BLOCK))
 
     def new_fill() -> Callable[[int], None]:
-        offsets = np.arange(_MODE_BLOCK, dtype=float)
-        workspace = np.empty((7, _MODE_BLOCK))
+        workspace = np.empty((4, _MODE_BLOCK))
+        turned = np.empty(_MODE_BLOCK, dtype=complex)
 
         def fill(start: int) -> None:
             size = min(_MODE_BLOCK, n - start)
-            omegas, shift, *work = workspace[:, :size]
+            omegas, shift, m, x = workspace[:, :size]
+            z = turned[:size]
             # lo + (k + 0.5)*cell at mode k = start + offset, exact in k
             np.add(offsets[:size], start + 0.5, out=omegas)
             omegas *= cell
             omegas += lo
+            first = float(omegas[0])
             volume = _cell_volume(band.solid_angle, omegas, cell, out=shift)
-            _mode_shift(omegas, volume, traj, out=shift, work=work)
-            shift *= _modulation(
-                state.r, state.theta, omegas, t0, out=work[0], work=work[1:]
-            )
+            # e^{i*omega*T}: the first mode's phasor turned j cells
+            np.multiply(turns_x[:size], _phasor(first * half_time), out=z)
+            s = _j2_over_x_at(_mul(omegas, half_time, x), z.imag, z.real, m, x)
+            _per_mode(omegas, volume, _checked(_envelope(s, traj.apex, m)), shift)
+            # e^{i*phase/2} alike, from the first mode's emission phase
+            half = 0.5 * _emission_phase(state.theta, first, t0)
+            np.multiply(turns_half[:size], _phasor(half), out=z)
+            shift *= _phase_weight_at(state.r, z.real, m)
             partials[start // _MODE_BLOCK] = np.sum(shift)
 
         return fill
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
+        # shared by every worker: the offsets j of a block and e^{i*j*cell*T},
+        # e^{i*j*cell*t0}, the turns of omega*T and of the half phase
+        offsets = np.arange(min(n, _MODE_BLOCK), dtype=float)
+        turns_x, turns_half = (
+            np.exp(1j * (offsets * (cell * step))) for step in (half_time, t0)
+        )
         _each_block(new_fill, n)
         return _finite_result(float(np.sum(partials)), "mode sum")
+
+
+def _phasor(angle: float) -> complex:
+    """e^{i*angle}; nan for an angle past double precision."""
+    if not math.isfinite(angle):
+        return complex(math.nan, math.nan)
+    return complex(math.cos(angle), math.sin(angle))
 
 
 __all__ = [

@@ -125,15 +125,20 @@ def _envelope(s, apex, out=None):
 
 def _checked_envelope(omega, traj: Trajectory, out=None, work=None):
     """M of one trajectory at a scalar or an array omega; RangeError once an
-    M leaves double precision (M >= 0, so the largest decides).  ``work``:
-    four arrays shaped like omega (omega*T, then j2_over_x's three)."""
+    M leaves double precision.  ``work``: four arrays shaped like omega
+    (omega*T, then j2_over_x's three)."""
     if isinstance(omega, float):
         s = j2_over_x(omega * traj.half_time)
         return _finite_result(_envelope(s, traj.apex), "mode envelope")
     x, work = _split(work)
     with np.errstate(over="ignore"):
         s = j2_over_x(_mul(omega, traj.half_time, x), out, work)
-        m = _envelope(s, traj.apex, out)
+        return _checked(_envelope(s, traj.apex, out))
+
+
+def _checked(m):
+    """An array of M; RangeError once an M leaves double precision (M >= 0,
+    so the largest decides)."""
     _finite_result(m.max(), "mode envelope")
     return m
 
@@ -171,15 +176,19 @@ def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
 
 
 def _modulation(r, theta, omega, t0, out=None, work=None):
-    """g at emission time t0 for scalars or arrays that broadcast: the one
-    place the emission phase 2*omega*t0 - theta is written.  A scalar phase
-    outside double precision raises RangeError, an array one gives nan.
-    ``work``: one array shaped like omega, for the phase."""
+    """g at emission time t0 for scalars or arrays that broadcast.  A scalar
+    phase outside double precision raises RangeError, an array one gives
+    nan.  ``work``: one array shaped like omega, for the phase."""
     w, _ = _split(work)
-    phase = _sub(_mul(_mul(2.0, omega, w), t0, w), theta, w)
+    phase = _emission_phase(theta, omega, t0, w)
     if isinstance(phase, float):
         _finite_result(phase, "emission phase")
     return phase_weight(r, phase, out, work)
+
+
+def _emission_phase(theta, omega, t0, out=None):
+    """2*omega*t0 - theta, scalars or arrays: the one place it is written."""
+    return _sub(_mul(_mul(2.0, omega, out), t0, out), theta, out)
 
 
 def modulation_min(state: SqueezeState) -> float:

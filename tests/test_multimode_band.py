@@ -1,10 +1,9 @@
-import functools
 import math
-import operator
 import threading
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +21,10 @@ from recoherence import (
     band_coherence_shift_leading,
     coherence_shift,
     mode_sum_oracle,
+    modulation_max,
 )
 from recoherence import multimode_band, oracle_quadrature
+from recoherence.constants import FINE_STRUCTURE
 from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
 from recoherence.single_mode import _mode_shift, _modulation
 
@@ -33,6 +34,8 @@ from recoherence.single_mode import _mode_shift, _modulation
 WINDOWED_EXACT = 1.0042766019514201e-06
 WINDOWED_LEADING = 1.0182873221274423e-06
 T0_RESOLVED_AT_03 = -2.2337918238083988e-06
+
+EPS = np.finfo(float).eps
 
 
 def _setup(theta=0.0):
@@ -215,24 +218,63 @@ def test_mode_sum_cap_rejected_before_allocation():
         mode_sum_oracle(state, band, traj, MAX_MODES + 1)
 
 
-@pytest.mark.parametrize(
-    "n", [1, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7]
-)
-def test_blocked_mode_sum_has_the_one_shot_bits(n):
-    # the workspace changes where the shifts are computed, not a single
-    # operation: the in-order sum of each block's np.sum of the allocating
-    # kernels, which up to one block is the one-shot sum of every shift
-    state, band, traj = _setup(0.7)
+def _per_mode_terms(state, band, traj, n, t0):
+    """The frequency, shift and modulation of each of n modes through the
+    per-mode kernels: a sine and a cosine of each mode's own omega*T and
+    half phase."""
     cell = 2.0 * band.half_width / n
-    partials = []
-    for start in range(0, n, _MODE_BLOCK):
-        k = np.arange(start, min(n, start + _MODE_BLOCK))
-        omegas = band.edges[0] + (k + 0.5) * cell
-        shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
-        g = _modulation(state.r, state.theta, omegas, 0.3)
-        partials.append(float(np.sum(shifts * g)))
-    want = functools.reduce(operator.add, partials)
-    assert mode_sum_oracle(state, band, traj, n, 0.3).hex() == want.hex()
+    omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
+    shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
+    return omegas, shifts, _modulation(state.r, state.theta, omegas, t0)
+
+
+def _mp_mode_sum(state, band, traj, n, t0):
+    """The discrete sum at 50 digits, at the float band edge and cell."""
+    with mpmath.workdps(50):
+        r, theta, t0, apex, half_time, solid_angle, lo, cell = map(
+            mpmath.mpf,
+            (state.r, state.theta, t0, traj.apex, traj.half_time,
+             band.solid_angle, band.edges[0], 2.0 * band.half_width / n),
+        )
+        coupling = -8 * mpmath.pi * mpmath.mpf(FINE_STRUCTURE) * solid_angle * cell
+        total = mpmath.mpf(0)
+        for k in range(n):
+            omega = lo + (k + mpmath.mpf(0.5)) * cell
+            x = omega * half_time
+            j2 = (3 / x**3 - 1 / x) * mpmath.sin(x) - 3 * mpmath.cos(x) / x**2
+            g = mpmath.sinh(r) * (
+                mpmath.cosh(r) * mpmath.cos(2 * omega * t0 - theta) + mpmath.sinh(r)
+            )
+            envelope = (16 * apex * j2 / x) ** 2
+            total += coupling * omega / (2 * mpmath.pi) ** 3 * envelope * g
+        return total
+
+
+@pytest.mark.parametrize(
+    "n", [1, 256, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7]
+)
+def test_mode_sum_is_the_per_mode_sum_to_rounding(n):
+    # the mode sum turns each block's first phasor instead of taking a sine
+    # and cosine a mode; a mode's frequency is rounded by up to eps*omega,
+    # which moves omega*T by eps*omega*T and the phase 2*omega*t0 - theta by
+    # eps*|phase|, and each route rounds them its own way
+    traj = Trajectory(apex=0.1, half_time=1.0)
+    for theta, center, half_width, t0 in (
+        (0.7, 3.34, 0.334, 1e4),  # the half phase turns ~1e4 times over the band
+        (1.3, 2.0, 0.5, 0.3),  # omega*T from 1.5 to 2.5: across the j2 series cut
+    ):
+        state = SqueezeState(1.0, theta)
+        band = BandSpec(center=center, half_width=half_width, solid_angle=0.1)
+        got = mode_sum_oracle(state, band, traj, n, t0)
+        omegas, shifts, g = _per_mode_terms(state, band, traj, n, t0)
+        phase = np.abs(2.0 * omegas * t0 - theta)
+        x = omegas * traj.half_time
+        scale = np.abs(shifts) * modulation_max(state) * (1.0 + x + phase)
+        tol = 64 * EPS * math.fsum(scale)
+        assert abs(got - math.fsum(shifts * g)) <= tol, (t0, "per-mode sum")
+        if n <= 256:
+            want = _mp_mode_sum(state, band, traj, n, t0)
+            assert abs(got - want) <= tol, (t0, "mpmath")
 
 
 @pytest.mark.parametrize("t0", [1e308, -1e308])
@@ -245,7 +287,8 @@ def test_emission_phase_overflow_is_named(t0):
 
 
 def test_mode_sum_memory_is_one_array_and_a_block(monkeypatch):
-    # one workspace a worker (eight block-sized arrays, 1 MiB) and 8 bytes a
+    # one workspace a worker (four real and one complex block-sized arrays,
+    # 768 KiB), the shared offsets and turn tables (640 KiB) and 8 bytes a
     # block, whatever the mode count: a block-sized array allocated per
     # block, or 8 bytes a mode, breaks the bound
     state, band, traj = _setup()

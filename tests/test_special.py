@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from recoherence import SQUEEZE_CAP, locate_envelope_max
 from recoherence._special import (
+    _j2_over_x_at,
+    _phase_weight_at,
     j2_over_x,
     phase_weight,
     phase_weight_max,
@@ -167,4 +169,11 @@ def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
     assert out.tobytes() == j2_over_x(x).tobytes() and x.tobytes() == before
     phase = x.copy()
     got = phase_weight(r, phase, out, [phase])
+    assert got is out and out.tobytes() == phase_weight(r, x).tobytes()
+    # the mode sum's route: the kernels past their sines and cosines, 1/x
+    # written over a copy of x
+    u = x.copy()
+    assert _j2_over_x_at(u, np.sin(x), np.cos(x), out, u) is out
+    assert out.tobytes() == j2_over_x(x).tobytes()
+    got = _phase_weight_at(r, np.cos(0.5 * x), out)
     assert got is out and out.tobytes() == phase_weight(r, x).tobytes()

@@ -166,6 +166,8 @@ _DEFAULTS = {key: default for key, (_, default, _) in cli._OPTIONS["sweep"].item
 @example(({**_DEFAULTS, "ratio-RT": -1.0}, [("r", [351.0, 1.0])]))
 @example((_DEFAULTS, [("ratio-RT", [0.8, -1.0])]))
 @example((_DEFAULTS, [("ratio-RT", [-1.0, 0.8])]))
+# the warning names the first relativistic value of the axis, not the least
+@example((_DEFAULTS, [("ratio-RT", [0.1, 2.0, 0.7, 0.3])]))
 def test_array_sweep_equals_scalar_rows(sweep):
     values, axes = sweep
     argv = ["sweep"] + [f"--{name}={value!r}" for name, value in values.items()]
