@@ -8,21 +8,17 @@ rewrite that is exact over the full supported range.  Only ``math`` and
 numpy are used: a Python float takes a ``math`` fast path, an array of x or
 of the phase one numpy pass, and ``_each`` maps a kernel of r over an array.
 
-The per-mode kernels here and in ``single_mode`` take an optional
-numpy-style ``out`` for their array path, and those that need room for
-intermediate values also take ``work``, arrays shaped like the value that
-the call overwrites.  Given both, an array call allocates nothing, so a loop
-over blocks of modes can reuse one workspace.  Each kernel is written once,
-as a chain of ``_mul``/``_div``/``_add``/``_sub`` steps in the order of the
-expression, so a float, an array and an array written into ``out`` get the
-same bits.
-
 The two kernels that take a sine or a cosine are split where they take
 it: ``j2_over_x`` is np.sin and np.cos followed by ``_j2_over_x_at``, and
 ``phase_weight`` is cos(phase/2) followed by ``_phase_weight_at``.  A caller
 that has the sines and cosines another way (the mode sum turns a phasor
 from mode to mode) calls the ``_at`` kernels; fed the same sines and
-cosines, they give the bits of the whole kernels.
+cosines, they give the bits of the whole kernels.  The ``_at`` kernels take
+an optional numpy-style ``out`` (as do the mode sum's other per-mode
+kernels), so a loop over blocks of modes can reuse one workspace.  Each is
+written once, as a chain of ``_mul``/``_div``/``_add``/``_sub`` steps in the
+order of the expression, so a float, an array and an array written into
+``out`` get the same bits.
 
 j2(x)/x, with j2 the spherical Bessel function (DLMF 10.49.3, 10.53.1),
 is evaluated in two pieces that meet at ``_J2_SERIES_CUT`` = 2:
@@ -88,11 +84,6 @@ def _sub(a, b, out=None):
     return a - b if out is None else np.subtract(a, b, out=out)
 
 
-def _split(work):
-    """``work[0]`` and the rest of ``work``; None and None without work."""
-    return (None, None) if work is None else (work[0], work[1:])
-
-
 def _j2_over_x_series(x):
     q = x * x
     s = _J2_SERIES[-1]
@@ -110,13 +101,11 @@ def _j2_over_x_trig(u, sin_x, cos_x, out=None):
     return _mul(_mul(_sub(value, term, out), u, out), u, out)
 
 
-def j2_over_x(x, out=None, work=None):
+def j2_over_x(x):
     """j2(x)/x with j2 the spherical Bessel function; -> x/15 as x -> 0.
 
     Accepts a scalar or an array; returns a float or an array of the same
-    shape.  Odd in x, finite for every finite x, and 0 at +-inf.  An array
-    x all on the trigonometric side allocates nothing given ``out`` and
-    ``work``, three arrays shaped like x (1/x, sin x and cos x).
+    shape.  Odd in x, finite for every finite x, and 0 at +-inf.
     """
     if isinstance(x, (float, int)):
         x = float(x)
@@ -128,9 +117,8 @@ def j2_over_x(x, out=None, work=None):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return j2_over_x(float(x))
-    u, sin_x, cos_x = (None,) * 3 if work is None else work[:3]
     with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended in _j2_over_x_at
-        return _j2_over_x_at(x, np.sin(x, out=sin_x), np.cos(x, out=cos_x), out, u)
+        return _j2_over_x_at(x, np.sin(x), np.cos(x))
 
 
 def _j2_over_x_at(x, sin_x, cos_x, out=None, u=None):
@@ -169,7 +157,7 @@ def window_half_angle(r: float) -> float:
     return 2.0 * math.atan(math.exp(-r))
 
 
-def phase_weight(r: float, phase, out=None, work=None):
+def phase_weight(r: float, phase):
     """eta*(mu*cos(phase) + eta) for mu = cosh r, eta = sinh r.
 
     Written as the exact rearrangement
@@ -179,16 +167,13 @@ def phase_weight(r: float, phase, out=None, work=None):
     because the direct form subtracts two O(e^{2r}) numbers near
     phase = pi and returns garbage already for r > 18.  The rewrite keeps
     full precision at the minimum for every admissible r.  Scalars give a
-    float; arrays of r and of the phase broadcast to an array.  With
-    ``out`` and ``work`` (one array, which may be ``phase``) an array phase
-    allocates nothing.
+    float; arrays of r and of the phase broadcast to an array.
     """
     if isinstance(phase, (float, int)):
         c = math.cos(0.5 * phase)
     else:
-        w, _ = _split(work)
-        c = np.cos(_mul(0.5, np.asarray(phase, dtype=float), w), out=w)
-    return _phase_weight_at(r, c, out)
+        c = np.cos(0.5 * np.asarray(phase, dtype=float))
+    return _phase_weight_at(r, c)
 
 
 def _phase_weight_at(r, c, out=None):

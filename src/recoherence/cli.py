@@ -30,7 +30,6 @@ oracle grid out of tolerance).
 from __future__ import annotations
 
 import argparse
-import bisect
 import configparser
 import contextlib
 import functools
@@ -68,7 +67,7 @@ from .single_mode import (
     windowed_coherence_shift,
 )
 from .squeezed_state import ModeSpec, SqueezeState
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _max_speed
 from ._special import _each
 
 
@@ -535,11 +534,11 @@ def sweep(values: dict, output: str | None) -> int:
 
     The values of r, theta, ratio-RT and t0-omega are first checked as the
     scalar path checks them (as arrays, the scalar check run only on a value
-    refused), and the first refused with DomainError ends the sweep.  A
-    Trajectory is built only for the first relativistic ratio-RT, for its
-    speed warning.  Each column is then computed once at the
-    shape of the axes it depends on (``single_mode._table``) and each value
-    formatted once.  The rows the scalar path refuses with RangeError are
+    refused), and the first refused with DomainError ends the sweep; so is
+    the speed of ratio-RT, and a Trajectory is built only for the first
+    relativistic value, for its warning.  Each column is then computed once
+    at the shape of the axes it depends on (``single_mode._table``) and each
+    value formatted once.  The rows the scalar path refuses with RangeError are
     range_error rows."""
     names = [name for name, _ in values["vary"]]
     if len(names) > _MAX_AXES:
@@ -560,14 +559,9 @@ def sweep(values: dict, output: str | None) -> int:
     _refuse_first(
         t0_omega, np.isfinite(t0_omega), lambda v: _finite_input("emission time", v)
     )
-    # is_relativistic is monotone in the apex: bisect for the least such value
-    ordered = np.unique(apex)
-    least = bisect.bisect_left(
-        ordered, True, key=lambda a: Trajectory(a, 1.0).is_relativistic
-    )
-    if least < ordered.size:
-        first = apex.flat[np.argmax(apex >= ordered[least])]
-        _warn_relativistic(Trajectory(first, 1.0))
+    fast = _max_speed(apex, 1.0) >= 1.0  # Trajectory(a, 1.0).is_relativistic
+    if fast.any():
+        _warn_relativistic(Trajectory(apex.flat[np.argmax(fast)], 1.0))
     volume = _each(_mode_volume, omega, ratio)
     with np.errstate(all="ignore"):
         t0 = t0_omega / omega

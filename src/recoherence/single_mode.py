@@ -51,8 +51,6 @@ from ._special import (
     _div,
     _each,
     _mul,
-    _split,
-    _sub,
     j2_over_x,
     phase_weight,
     phase_weight_max,
@@ -123,17 +121,14 @@ def _envelope(s, apex, out=None):
     return _mul(amplitude, amplitude, out)
 
 
-def _checked_envelope(omega, traj: Trajectory, out=None, work=None):
+def _checked_envelope(omega, traj: Trajectory):
     """M of one trajectory at a scalar or an array omega; RangeError once an
-    M leaves double precision.  ``work``: four arrays shaped like omega
-    (omega*T, then j2_over_x's three)."""
+    M leaves double precision."""
     if isinstance(omega, float):
         s = j2_over_x(omega * traj.half_time)
         return _finite_result(_envelope(s, traj.apex), "mode envelope")
-    x, work = _split(work)
     with np.errstate(over="ignore"):
-        s = j2_over_x(_mul(omega, traj.half_time, x), out, work)
-        return _checked(_envelope(s, traj.apex, out))
+        return _checked(_envelope(j2_over_x(omega * traj.half_time), traj.apex))
 
 
 def _checked(m):
@@ -143,13 +138,10 @@ def _checked(m):
     return m
 
 
-def _mode_shift(omega, volume, traj: Trajectory, out=None, work=None):
+def _mode_shift(omega, volume, traj: Trajectory):
     """-(8*pi*alpha/(V*omega)) * M of one trajectory at a scalar or an array
-    omega, for the closed forms, the band and the estimates.  ``out`` may be
-    ``volume``; ``work``: five arrays shaped like omega (M, then the
-    envelope's four)."""
-    m, work = _split(work)
-    return _per_mode(omega, volume, _checked_envelope(omega, traj, m, work), out)
+    omega, for the closed forms, the band and the estimates."""
+    return _per_mode(omega, volume, _checked_envelope(omega, traj))
 
 
 def _per_mode(omega, volume, envelope, out=None):
@@ -175,20 +167,19 @@ def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
     return _modulation(state.r, state.theta, mode.omega, t0)
 
 
-def _modulation(r, theta, omega, t0, out=None, work=None):
+def _modulation(r, theta, omega, t0):
     """g at emission time t0 for scalars or arrays that broadcast.  A scalar
     phase outside double precision raises RangeError, an array one gives
-    nan.  ``work``: one array shaped like omega, for the phase."""
-    w, _ = _split(work)
-    phase = _emission_phase(theta, omega, t0, w)
+    nan."""
+    phase = _emission_phase(theta, omega, t0)
     if isinstance(phase, float):
         _finite_result(phase, "emission phase")
-    return phase_weight(r, phase, out, work)
+    return phase_weight(r, phase)
 
 
-def _emission_phase(theta, omega, t0, out=None):
+def _emission_phase(theta, omega, t0):
     """2*omega*t0 - theta, scalars or arrays: the one place it is written."""
-    return _sub(_mul(_mul(2.0, omega, out), t0, out), theta, out)
+    return 2.0 * omega * t0 - theta
 
 
 def modulation_min(state: SqueezeState) -> float:

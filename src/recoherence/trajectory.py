@@ -29,6 +29,12 @@ from .errors import DomainError, _finite_input
 _MAX_SPEED_COEFF = 8.0 / (3.0 * math.sqrt(3.0))
 
 
+def _max_speed(apex, half_time):
+    """Extreme speed 8R/(3*sqrt(3)*T), scalars or arrays: the one place it is
+    written."""
+    return _MAX_SPEED_COEFF * apex / half_time
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Quartic out-and-back arm, parametrised by apex and half flight time.
@@ -51,9 +57,7 @@ class Trajectory:
         half_time = _finite_input("half flight time", self.half_time, positive=True)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "half_time", half_time)
-        object.__setattr__(
-            self, "max_speed", _MAX_SPEED_COEFF * apex / half_time
-        )
+        object.__setattr__(self, "max_speed", _max_speed(apex, half_time))
         object.__setattr__(self, "is_relativistic", self.max_speed >= 1.0)
 
     def _check_time(self, t):

@@ -24,9 +24,10 @@ from recoherence import (
     modulation_max,
 )
 from recoherence import multimode_band, oracle_quadrature
+from recoherence._special import j2_over_x
 from recoherence.constants import FINE_STRUCTURE
 from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
-from recoherence.single_mode import _mode_shift, _modulation
+from recoherence.single_mode import _envelope, _mode_shift, _modulation, _per_mode
 
 # Frozen from a 30-digit mpmath evaluation of the continuum band integral
 # at r = 1, theta = 0, center = 3.34, half_width = 0.334, solid angle 0.1,
@@ -422,22 +423,18 @@ def test_the_lowest_failing_block_wins_when_it_fails_first(monkeypatch):
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
-    st.floats(0.0, 5.0),
-    st.floats(-10.0, 10.0),
-)
-def test_per_mode_kernels_written_into_out_have_the_allocating_bits(omegas, r, t0):
-    # the mode sum's workspace route: every step into out or work, the same
-    # operations in the same order as the allocating route
+@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
+def test_per_mode_kernels_written_into_out_have_the_allocating_bits(omegas):
+    # the mode sum's workspace route: the cell volume, the envelope over
+    # j2(x)/x and the shift written into out, the same operations in the
+    # same order as the allocating route
     omega = np.array(omegas)
     traj = Trajectory(apex=0.1, half_time=1.3)
-    out, *work = np.full((6, omega.size), np.nan)
+    out = np.full(omega.size, np.nan)
     volume = _cell_volume(0.1, omega, 0.01)
     assert _cell_volume(0.1, omega, 0.01, out=out) is out
     assert out.tobytes() == volume.tobytes()
-    shift = _mode_shift(omega, out, traj, out=out, work=work)
+    m = j2_over_x(omega * traj.half_time)
+    assert _envelope(m, traj.apex, m) is m
+    shift = _per_mode(omega, out, m, out)
     assert shift is out and out.tobytes() == _mode_shift(omega, volume, traj).tobytes()
-    g = _modulation(r, 0.7, omega, t0, out=work[0], work=work[1:])
-    assert g is work[0]
-    assert g.tobytes() == _modulation(r, 0.7, omega, t0).tobytes()

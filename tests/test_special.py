@@ -160,18 +160,11 @@ def test_import_pulls_in_no_scipy():
     st.floats(0.0, SQUEEZE_CAP),
 )
 def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
-    # out and work change where a value is written, not an operation; the
-    # argument is left as it was
+    # the mode sum's route: the kernels past their sines and cosines, written
+    # into out, with 1/x written over a copy of x; out changes where a value
+    # is written, not an operation
     x = np.array(xs)
-    before = x.tobytes()
-    out, *work = np.full((4, x.size), np.nan)
-    assert j2_over_x(x, out, work) is out
-    assert out.tobytes() == j2_over_x(x).tobytes() and x.tobytes() == before
-    phase = x.copy()
-    got = phase_weight(r, phase, out, [phase])
-    assert got is out and out.tobytes() == phase_weight(r, x).tobytes()
-    # the mode sum's route: the kernels past their sines and cosines, 1/x
-    # written over a copy of x
+    out = np.full(x.size, np.nan)
     u = x.copy()
     assert _j2_over_x_at(u, np.sin(x), np.cos(x), out, u) is out
     assert out.tobytes() == j2_over_x(x).tobytes()
