@@ -8,17 +8,16 @@ rewrite that is exact over the full supported range.  Only ``math`` and
 numpy are used: a Python float takes a ``math`` fast path, an array of x or
 of the phase one numpy pass, and ``_each`` maps a kernel of r over an array.
 
-The two kernels that take a sine or a cosine are split where they take
-it: ``j2_over_x`` is np.sin and np.cos followed by ``_j2_over_x_at``, and
-``phase_weight`` is cos(phase/2) followed by ``_phase_weight_at``.  A caller
-that has the sines and cosines another way (the mode sum turns a phasor
-from mode to mode) calls the ``_at`` kernels; fed the same sines and
-cosines, they give the bits of the whole kernels.  The ``_at`` kernels take
-an optional numpy-style ``out`` (as do the mode sum's other per-mode
-kernels), so a loop over blocks of modes can reuse one workspace.  Each is
-written once, as a chain of ``_mul``/``_div``/``_add``/``_sub`` steps in the
-order of the expression, so a float, an array and an array written into
-``out`` get the same bits.
+The mode sum has the sines and cosines of its modes another way (it turns
+a phasor from mode to mode), so the two kernels that take one are split
+where they take it.  ``j2_over_x`` is np.sin and np.cos followed by
+``_j2_over_x_at``; fed the same sines and cosines, it gives the bits of the
+whole kernel.  ``_j2_over_x_at`` takes an optional numpy-style ``out``, so the
+mode sum's loop over blocks of modes reuses one workspace: its trigonometric
+form is written once, as a chain of ``_mul``/``_sub`` steps in the order of
+the expression, so a float, an array and an array written into ``out`` get
+the same bits.  ``phase_weight`` is cos(phase/2) and the two terms of
+``_phase_weight_terms``, which the mode sum sums apart.
 
 j2(x)/x, with j2 the spherical Bessel function (DLMF 10.49.3, 10.53.1),
 is evaluated in two pieces that meet at ``_J2_SERIES_CUT`` = 2:
@@ -67,16 +66,6 @@ def _each(kernel, *args):
 def _mul(a, b, out=None):
     """a * b, written into ``out`` when given (a float stays a Python float)."""
     return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _div(a, b, out=None):
-    """a / b, written into ``out`` when given."""
-    return a / b if out is None else np.divide(a, b, out=out)
-
-
-def _add(a, b, out=None):
-    """a + b, written into ``out`` when given."""
-    return a + b if out is None else np.add(a, b, out=out)
 
 
 def _sub(a, b, out=None):
@@ -173,14 +162,14 @@ def phase_weight(r: float, phase):
         c = math.cos(0.5 * phase)
     else:
         c = np.cos(0.5 * np.asarray(phase, dtype=float))
-    return _phase_weight_at(r, c)
+    low, swing = _phase_weight_terms(r)
+    return low + swing * c * c
 
 
-def _phase_weight_at(r, c, out=None):
-    """phase_weight given c = cos(phase/2), scalars or arrays; ``out`` must
-    not be ``c``."""
-    weight = _mul(_mul(_each(lambda x: math.sinh(2.0 * x), r), c, out), c, out)
-    return _add(_each(phase_weight_min, r), weight, out)
+def _phase_weight_terms(r):
+    """(phase_weight_min(r), sinh(2r)): phase_weight is the first plus the
+    second times cos(phase/2)^2.  Floats, or arrays of each r."""
+    return _each(phase_weight_min, r), _each(lambda x: math.sinh(2.0 * x), r)
 
 
 def phase_weight_min(r: float) -> float:

@@ -21,40 +21,30 @@ limit from the opposite (discrete) direction.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, RangeError, _count_input
 from .errors import _finite_input, _finite_result
 from .oracle_quadrature import integrate_oscillatory
-from .single_mode import _checked, _emission_phase, _envelope, _mode_shift
-from .single_mode import _modulation, _per_mode
+from .single_mode import _emission_phase, _mode_shift, _modulation, _per_mode
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import _div, _j2_over_x_at, _mul, _phase_weight_at
-from ._special import windowed_phase_weight
+from ._special import _j2_over_x_at, _phase_weight_terms, windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
 
 #: largest mode count of mode_sum_oracle: it bounds the time of one call
-#: (about 0.3 s on one or two cores); the memory does not grow with the count
+#: (about 0.2 s); the memory does not grow with the count
 MAX_MODES = 10**7
 
-#: modes each worker of mode_sum_oracle evaluates at a time: 128 KB a real
-#: array of its workspace, so one block's values stay in a core's L2 cache
+#: modes mode_sum_oracle evaluates at a time: 128 KiB a real array of its
+#: workspace, so one block's values stay in a core's L2 cache
 _MODE_BLOCK = 2**14
-
-#: most worker threads of mode_sum_oracle, one per available CPU: it bounds
-#: the workspaces held at once
-_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -113,67 +103,18 @@ class BandSpec:
         return self.half_width / self.center
 
 
-def _cell_volume(solid_angle: float, omega, width, out=None):
+def _cell_volume(solid_angle: float, omega, width):
     """(2*pi)^3/(solid_angle*omega^2*width), the volume V one phase-space
-    cell of the beam stands in for, at a scalar or an array omega (written
-    into ``out`` when given).
+    cell of the beam stands in for, at a scalar or an array omega.
 
     Divided factor by factor: a cell too sparse for double precision gets
     V = inf and a shift that rounds to 0; a V that underflows to 0 raises.
     """
     with np.errstate(over="ignore"):
-        volume = _div((2.0 * math.pi) ** 3 / solid_angle, omega, out)
-        volume = _div(_div(volume, omega, out), width, out)
+        volume = (2.0 * math.pi) ** 3 / solid_angle / omega / omega / width
     if not np.min(volume) > 0.0:
         raise RangeError("phase-space cell volume underflows double precision")
     return volume
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _each_block(new_fill: Callable[[], Callable[[int], None]], n: int) -> None:
-    """fill(start) for every block start of n modes, on up to _MAX_WORKERS
-    threads, each worker with the fill that new_fill() gives it.
-
-    Worker k takes every workers-th start from the k-th, in order; the
-    calling thread is worker 0, so at one worker no thread starts.  Each
-    thread runs in a copy of the caller's context and so keeps its
-    ``np.errstate`` (a context variable since numpy 2).  A worker catches
-    what it raises and stops; the exception of the lowest failing start is
-    raised here, the one a serial loop would raise.
-    """
-    starts = range(0, n, _MODE_BLOCK)
-    workers = min(_available_cpus(), len(starts), _MAX_WORKERS)
-    failures = {}  # failing start -> its exception, at most one per worker
-
-    def work(mine: range) -> None:
-        start = mine[0]  # each worker has a start: workers <= len(starts)
-        try:
-            fill = new_fill()
-            for start in mine:
-                fill(start)
-        except BaseException as exc:
-            failures[start] = exc
-
-    threads = [
-        threading.Thread(
-            target=contextvars.copy_context().run, args=(work, starts[k::workers])
-        )
-        for k in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    work(starts[::workers])
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[min(failures)]
 
 
 def band_coherence_shift_exact(
@@ -255,19 +196,26 @@ def mode_sum_oracle(
     reproduces the single-mode shift at the band centre with the matched
     volume.
 
-    Modes are evaluated in blocks of ``_MODE_BLOCK``, shared out to one
-    thread per available CPU, at most ``_MAX_WORKERS`` and at most one a
-    block.  No mode takes a sine or cosine of its own: the modes are equally
-    spaced, so e^{i*omega*T} and e^{i*phase/2} of the block's mode j are the
-    block's first phasors turned by the tables e^{i*j*cell*T} and
-    e^{i*j*cell*t0}, built once a call and shared by the workers; one
-    complex multiply a mode and angle.  Each worker evaluates its blocks in
-    one workspace of a few block-sized arrays, allocated once, and stores
-    each block's ``np.sum`` at the block's index; the sum of those partial
-    sums is the value, so it has the same bits at any thread count.  Memory
-    is under 1 MB a worker, 640 KB of tables and 8 bytes a block, whatever
+    The sum is factored.  The shift of mode k is coupling * A^2 * a_k, with
+    a_k = omega_k * (j2(x_k)/x_k)^2 at x_k = omega_k*T, A = 16*R the
+    amplitude of the envelope M = (A * j2(x)/x)^2 and ``coupling`` the shift
+    of a unit-frequency mode with M = 1 in one cell.  Its phase weight is
+    g_min + sinh(2r) * c_k^2 with c_k = cos(phase_k/2), the rearrangement of
+    ``_special.phase_weight``.  So the value is
+    coupling * (g_min * sum(a) + sinh(2r) * sum(a * c^2)) * A * A, multiplied
+    in that order, so that it overflows only when the value does.
+
+    Modes are evaluated in blocks of ``_MODE_BLOCK``, one after another in
+    the calling thread.  No mode takes a sine or cosine of its own: the
+    modes are equally spaced, so e^{i*omega*T} and e^{i*phase/2} of the
+    block's mode j are the block's first phasors turned by the tables
+    e^{i*j*cell*T} and e^{i*j*cell*t0}, built once a call; one complex
+    multiply a mode and angle.  Every block is evaluated in one workspace of
+    three block-sized real arrays and one complex one, allocated once a
+    call, and adds the ``np.sum`` of its a and of its a * c^2 to the two
+    sums.  Memory is the 640 KiB of tables and 640 KiB of workspace, whatever
     the mode count; ``MAX_MODES`` bounds the time.  RangeError when the
-    emission phase, a cell volume, an envelope or the sum leaves double
+    emission phase, the top mode's cell volume or the sum leaves double
     precision.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
@@ -275,47 +223,51 @@ def mode_sum_oracle(
     cell = 2.0 * band.half_width / n
     lo = band.edges[0]
     half_time = traj.half_time
+    ends = [lo + (k + 0.5) * cell for k in (0, n - 1)]
     # 2*omega*t0 - theta is monotone in omega: finite at the end modes,
     # finite at every mode
-    for k in (0, n - 1):
-        _modulation(state.r, state.theta, lo + (k + 0.5) * cell, t0)
-    partials = np.empty(-(-n // _MODE_BLOCK))
-
-    def new_fill() -> Callable[[int], None]:
-        workspace = np.empty((4, _MODE_BLOCK))
-        turned = np.empty(_MODE_BLOCK, dtype=complex)
-
-        def fill(start: int) -> None:
+    for omega in ends:
+        _modulation(state.r, state.theta, omega, t0)
+    # V falls with omega: the top mode's is the smallest
+    _cell_volume(band.solid_angle, ends[1], cell)
+    coupling = _per_mode(1.0, _cell_volume(band.solid_angle, 1.0, cell), 1.0)
+    amplitude = 16.0 * traj.apex  # M = (amplitude * s)^2, as _envelope forms it
+    low, swing = _phase_weight_terms(state.r)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
+        # the offsets j of a block and e^{i*j*cell*T}, e^{i*j*cell*t0}, the
+        # turns of omega*T and of the half phase
+        offsets = np.arange(min(n, _MODE_BLOCK), dtype=float)
+        turns_x, turns_half = (
+            np.exp(1j * (offsets * (cell * step))) for step in (half_time, t0)
+        )
+        workspace = np.empty((3, offsets.size))
+        turned = np.empty(offsets.size, dtype=complex)
+        sum_a = sum_ac2 = 0.0
+        for start in range(0, n, _MODE_BLOCK):
             size = min(_MODE_BLOCK, n - start)
-            omegas, shift, m, x = workspace[:, :size]
+            omegas, a, x = workspace[:, :size]
             z = turned[:size]
             # lo + (k + 0.5)*cell at mode k = start + offset, exact in k
             np.add(offsets[:size], start + 0.5, out=omegas)
             omegas *= cell
             omegas += lo
             first = float(omegas[0])
-            volume = _cell_volume(band.solid_angle, omegas, cell, out=shift)
-            # e^{i*omega*T}: the first mode's phasor turned j cells
+            # e^{i*omega*T}: the first mode's phasor turned j cells; 1/x is
+            # written over x, j2(x)/x into a
             np.multiply(turns_x[:size], _phasor(first * half_time), out=z)
-            s = _j2_over_x_at(_mul(omegas, half_time, x), z.imag, z.real, m, x)
-            _per_mode(omegas, volume, _checked(_envelope(s, traj.apex, m)), shift)
+            np.multiply(omegas, half_time, out=x)
+            _j2_over_x_at(x, z.imag, z.real, a, x)
+            a *= a
+            a *= omegas
+            sum_a += np.sum(a)
             # e^{i*phase/2} alike, from the first mode's emission phase
             half = 0.5 * _emission_phase(state.theta, first, t0)
             np.multiply(turns_half[:size], _phasor(half), out=z)
-            shift *= _phase_weight_at(state.r, z.real, m)
-            partials[start // _MODE_BLOCK] = np.sum(shift)
-
-        return fill
-
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
-        # shared by every worker: the offsets j of a block and e^{i*j*cell*T},
-        # e^{i*j*cell*t0}, the turns of omega*T and of the half phase
-        offsets = np.arange(min(n, _MODE_BLOCK), dtype=float)
-        turns_x, turns_half = (
-            np.exp(1j * (offsets * (cell * step))) for step in (half_time, t0)
-        )
-        _each_block(new_fill, n)
-        return _finite_result(float(np.sum(partials)), "mode sum")
+            np.multiply(z.real, z.real, out=x)
+            x *= a
+            sum_ac2 += np.sum(x)
+        value = coupling * (low * sum_a + swing * sum_ac2) * amplitude * amplitude
+        return _finite_result(float(value), "mode sum")
 
 
 def _phasor(angle: float) -> complex:

@@ -48,9 +48,7 @@ from .errors import _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 from ._special import (
-    _div,
     _each,
-    _mul,
     j2_over_x,
     phase_weight,
     phase_weight_max,
@@ -113,12 +111,11 @@ def mode_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     return _checked_envelope(mode.omega, traj)
 
 
-def _envelope(s, apex, out=None):
+def _envelope(s, apex):
     """M = (16*R*s)^2 at s = j2(omega*T)/(omega*T), scalars or arrays: squared
-    as one amplitude, so M is inf only where M itself overflows.  ``out``
-    may be ``s``."""
-    amplitude = _mul(16.0, _mul(apex, s, out), out)
-    return _mul(amplitude, amplitude, out)
+    as one amplitude, so M is inf only where M itself overflows."""
+    amplitude = 16.0 * (apex * s)
+    return amplitude * amplitude
 
 
 def _checked_envelope(omega, traj: Trajectory):
@@ -144,11 +141,9 @@ def _mode_shift(omega, volume, traj: Trajectory):
     return _per_mode(omega, volume, _checked_envelope(omega, traj))
 
 
-def _per_mode(omega, volume, envelope, out=None):
-    """-(8*pi*alpha/(V*omega)) * M at scalars or arrays: the one place it is.
-    ``out`` may be ``volume``."""
-    coupling = _div(-8.0 * math.pi * FINE_STRUCTURE, _mul(volume, omega, out), out)
-    return _mul(coupling, envelope, out)
+def _per_mode(omega, volume, envelope):
+    """-(8*pi*alpha/(V*omega)) * M at scalars or arrays: the one place it is."""
+    return -8.0 * math.pi * FINE_STRUCTURE / (volume * omega) * envelope
 
 
 def _max_shift(omega, volume, envelope):

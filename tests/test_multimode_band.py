@@ -2,11 +2,12 @@ import math
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recoherence import (
@@ -15,6 +16,7 @@ from recoherence import (
     DomainError,
     ModeSpec,
     RangeError,
+    SQUEEZE_CAP,
     SqueezeState,
     Trajectory,
     band_coherence_shift_exact,
@@ -24,10 +26,10 @@ from recoherence import (
     modulation_max,
 )
 from recoherence import multimode_band, oracle_quadrature
-from recoherence._special import j2_over_x
+from recoherence._special import _j2_over_x_at, phase_weight_min
 from recoherence.constants import FINE_STRUCTURE
 from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
-from recoherence.single_mode import _envelope, _mode_shift, _modulation, _per_mode
+from recoherence.single_mode import _mode_shift, _modulation
 
 # Frozen from a 30-digit mpmath evaluation of the continuum band integral
 # at r = 1, theta = 0, center = 3.34, half_width = 0.334, solid angle 0.1,
@@ -287,14 +289,16 @@ def test_emission_phase_overflow_is_named(t0):
         mode_sum_oracle(state, band, traj, 16, t0)
 
 
-def test_mode_sum_memory_is_one_array_and_a_block(monkeypatch):
-    # one workspace a worker (four real and one complex block-sized arrays,
-    # 768 KiB), the shared offsets and turn tables (640 KiB) and 8 bytes a
-    # block, whatever the mode count: a block-sized array allocated per
-    # block, or 8 bytes a mode, breaks the bound
+def test_mode_sum_memory_is_one_array_and_a_block():
+    # the arrays alive at the peak: the block offsets and the two turn
+    # tables (one real and two complex block-sized arrays), then the
+    # workspace (three real and one complex), allocated once the tables are
+    # built, so the tables' build temporaries are gone by then; under a
+    # 64 KiB slack, whatever the mode count, so a block-sized array
+    # allocated per block, or 8 bytes a mode, breaks the bound
     state, band, traj = _setup()
-    _pin_workers(monkeypatch, multimode_band._MAX_WORKERS)
-    bound = multimode_band._MAX_WORKERS * 2**20 + 2**17
+    real, complex_ = 8 * _MODE_BLOCK, 16 * _MODE_BLOCK
+    bound = (real + 2 * complex_) + (3 * real + complex_) + 2**16
     for n in (10**6, 10**7):
         tracemalloc.start()
         try:
@@ -305,136 +309,150 @@ def test_mode_sum_memory_is_one_array_and_a_block(monkeypatch):
         assert peak < bound, (n, peak)
 
 
-def _pin_workers(monkeypatch, cpus):
-    """Report ``cpus`` CPUs to the mode sum; return the list of threads it
-    starts."""
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(multimode_band, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(multimode_band.threading, "Thread", Thread)
-    return started
-
-
 @pytest.mark.parametrize(
     "n",
     [1, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7, 10**6],
 )
-def test_mode_sum_bits_do_not_depend_on_workers(monkeypatch, n):
+def test_mode_sum_bits_do_not_depend_on_workers(n):
+    # the mode sum holds no state between calls: called at once from 1, 2
+    # and 4 of the caller's worker threads it gives the bits of a call in
+    # this thread
     state, band, traj = _setup(0.7)
-    bits = set()
-    for cpus in (1, 2, 4):
-        started = _pin_workers(monkeypatch, cpus)
-        bits.add(mode_sum_oracle(state, band, traj, n, 0.3).hex())
-        blocks = -(-n // _MODE_BLOCK)
-        assert len(started) == min(cpus, blocks) - 1  # the caller is one
-    assert len(bits) == 1
+    want = mode_sum_oracle(state, band, traj, n, 0.3).hex()
+    for workers in (1, 2, 4):
+        with ThreadPoolExecutor(workers) as pool:
+            calls = [
+                pool.submit(mode_sum_oracle, state, band, traj, n, 0.3)
+                for _ in range(workers)
+            ]
+            assert {call.result().hex() for call in calls} == {want}
 
 
 def test_workers_are_capped(monkeypatch):
+    # at no worker thread: the blocks run in the calling thread
     state, band, traj = _setup()
-    started = _pin_workers(monkeypatch, 64)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", started.append)
     mode_sum_oracle(state, band, traj, 10**6, 0.3)
-    assert len(started) == multimode_band._MAX_WORKERS - 1
+    assert started == []
 
 
-@pytest.mark.parametrize("cpus", [2, 4])
-def test_every_block_keeps_the_callers_errstate(monkeypatch, cpus):
+def _on_each_block(monkeypatch, each):
+    """Call each(first mode's omega*T) as every block of the mode sum starts
+    its j2(x)/x."""
+
+    def j2_over_x_at(x, *args):
+        each(float(x[0]))
+        return _j2_over_x_at(x, *args)
+
+    monkeypatch.setattr(multimode_band, "_j2_over_x_at", j2_over_x_at)
+
+
+@pytest.mark.parametrize("blocks", [2, 4])
+def test_every_block_keeps_the_callers_errstate(monkeypatch, blocks):
     state, band, traj = _setup()
     seen = []
-
-    def cell_volume(solid_angle, omega, width, out=None):
-        seen.append((threading.current_thread(), np.geterr()["under"]))
-        return _cell_volume(solid_angle, omega, width, out)
-
-    monkeypatch.setattr(multimode_band, "_cell_volume", cell_volume)
-    started = _pin_workers(monkeypatch, cpus)
+    _on_each_block(monkeypatch, lambda x: seen.append(np.geterr()["under"]))
     with np.errstate(under="raise"):
-        mode_sum_oracle(state, band, traj, 4 * _MODE_BLOCK, 0.3)
-    assert len(seen) == 4 and {under for _, under in seen} == {"raise"}
-    assert {thread for thread, _ in seen} > set(started)
+        mode_sum_oracle(state, band, traj, blocks * _MODE_BLOCK, 0.3)
+    assert seen == ["raise"] * blocks
 
 
-def _fail_blocks(monkeypatch, band, n, starts, before):
-    """Make the blocks of an n-mode sum at ``starts`` raise RangeError, each
-    after before(start)."""
+def _fail_blocks(monkeypatch, band, traj, n, starts):
+    """Make the blocks of an n-mode sum at ``starts`` raise RangeError; return
+    the list of the blocks started."""
     cell = 2.0 * band.half_width / n
-    at = {band.edges[0] + (start + 0.5) * cell: start for start in starts}
+    at = {(band.edges[0] + (start + 0.5) * cell) * traj.half_time: start
+          for start in range(0, n, _MODE_BLOCK)}
+    started = []
 
-    def cell_volume(solid_angle, omega, width, out=None):
-        start = at.get(np.ravel(omega)[0])
-        if start is None:
-            return _cell_volume(solid_angle, omega, width, out)
-        before(start)
-        raise RangeError(f"injected at block {start}")
+    def each(x):
+        started.append(at[x])
+        if at[x] in starts:
+            raise RangeError(f"injected at block {at[x]}")
 
-    monkeypatch.setattr(multimode_band, "_cell_volume", cell_volume)
+    _on_each_block(monkeypatch, each)
+    return started
 
 
-@pytest.mark.parametrize("cpus", [2, 4])
-def test_worker_failure_raises_the_serial_exception(monkeypatch, capfd, cpus):
-    # blocks start at 0, B, 2B and 3B; worker 1 owns B at both counts, and
-    # the serial loop stops at B
+@pytest.mark.parametrize("first", [2, 4])
+def test_worker_failure_raises_the_serial_exception(monkeypatch, capfd, first):
+    # blocks 0 to 5: the first failing block raises, and no later block runs
     state, band, traj = _setup()
-    n = 3 * _MODE_BLOCK + 7
-    raised_on = []
-    _fail_blocks(
-        monkeypatch,
-        band,
-        n,
-        (_MODE_BLOCK, 3 * _MODE_BLOCK),
-        lambda start: raised_on.append(threading.current_thread()),
-    )
-    for workers in (1, cpus):
-        raised_on.clear()
-        _pin_workers(monkeypatch, workers)
-        with pytest.raises(RangeError, match=f"injected at block {_MODE_BLOCK}$"):
-            mode_sum_oracle(state, band, traj, n, 0.3)
-    assert threading.current_thread() not in raised_on
+    n = 5 * _MODE_BLOCK + 7
+    fails = (first * _MODE_BLOCK, (first + 1) * _MODE_BLOCK)
+    started = _fail_blocks(monkeypatch, band, traj, n, fails)
+    with pytest.raises(RangeError, match=f"injected at block {fails[0]}$"):
+        mode_sum_oracle(state, band, traj, n, 0.3)
+    assert started == [k * _MODE_BLOCK for k in range(first + 1)]
     assert capfd.readouterr().err == ""
 
 
 def test_the_lowest_failing_block_wins_when_it_fails_first(monkeypatch):
-    # at two workers the caller owns blocks 0 and 2B, the thread owns B and
-    # 3B; B fails while the caller is inside 2B, which fails after it
     state, band, traj = _setup()
     n = 3 * _MODE_BLOCK + 7
-    in_2b, b_raised = threading.Event(), threading.Event()
-    b_thread = []
-
-    def before(start):
-        if start == _MODE_BLOCK:
-            assert in_2b.wait(30)
-            b_thread.append(threading.current_thread())
-            b_raised.set()
-        else:
-            in_2b.set()
-            assert b_raised.wait(30)
-            b_thread[0].join(30)  # B's failure is recorded when it ends
-
-    _fail_blocks(monkeypatch, band, n, (_MODE_BLOCK, 2 * _MODE_BLOCK), before)
-    _pin_workers(monkeypatch, 2)
+    started = _fail_blocks(
+        monkeypatch, band, traj, n, (_MODE_BLOCK, 2 * _MODE_BLOCK)
+    )
     with pytest.raises(RangeError, match=f"injected at block {_MODE_BLOCK}$"):
         mode_sum_oracle(state, band, traj, n, 0.3)
+    assert started == [0, _MODE_BLOCK]
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
-def test_per_mode_kernels_written_into_out_have_the_allocating_bits(omegas):
-    # the mode sum's workspace route: the cell volume, the envelope over
-    # j2(x)/x and the shift written into out, the same operations in the
-    # same order as the allocating route
-    omega = np.array(omegas)
-    traj = Trajectory(apex=0.1, half_time=1.3)
-    out = np.full(omega.size, np.nan)
-    volume = _cell_volume(0.1, omega, 0.01)
-    assert _cell_volume(0.1, omega, 0.01, out=out) is out
-    assert out.tobytes() == volume.tobytes()
-    m = j2_over_x(omega * traj.half_time)
-    assert _envelope(m, traj.apex, m) is m
-    shift = _per_mode(omega, out, m, out)
-    assert shift is out and out.tobytes() == _mode_shift(omega, volume, traj).tobytes()
+@pytest.mark.parametrize(
+    "apex, half_time, center, message",
+    [
+        # the top mode's cell volume underflows to 0
+        (0.1, 1.0, 1e300, "phase-space cell volume underflows double precision"),
+        # R^2 past double precision: the sum overflows with it
+        (1e160, 1.0, 3.34, "mode sum overflows double precision"),
+        # (16*R)^2 overflows and M does not: the sum is finite
+        (1e153, 1.0, 3.34, None),
+        (1e155, 1.0, 1e3, None),
+        # omega*T near 1e300, and past double precision at the top modes:
+        # every shift rounds to 0
+        (0.1, 1e300, 1.0, None),
+        (1.0, 1.7e307, 10.0, None),
+    ],
+)
+def test_mode_sum_at_the_edges_is_refused_or_finite(
+    capfd, apex, half_time, center, message
+):
+    state = SqueezeState(1.0, 0.7)
+    band = BandSpec(center=center, half_width=0.1 * center, solid_angle=0.1)
+    traj = Trajectory(apex=apex, half_time=half_time)
+    for n in (4, 3 * _MODE_BLOCK + 7):
+        if message is None:
+            assert math.isfinite(mode_sum_oracle(state, band, traj, n, 0.3))
+        else:
+            with pytest.raises(RangeError, match=message):
+                mode_sum_oracle(state, band, traj, n, 0.3)
+    assert capfd.readouterr().err == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, SQUEEZE_CAP)),
+    theta=st.floats(-math.pi, math.pi),
+    t0=st.floats(-1e4, 1e4),
+    center=st.floats(0.1, 100.0),
+    ratio=st.floats(1e-3, 0.9),
+    n=st.integers(1, 200),
+)
+# every mode inside the recoherence window: the sum comes within 1e-4 of
+# the bound
+@example(r=2.0, theta=0.0, t0=math.pi / 6.68, center=3.34, ratio=1e-3, n=16)
+def test_mode_sum_recoheres_at_most_the_paper_bound(r, theta, t0, center, ratio, n):
+    # every shift is <= 0 and every weight >= g_min = -(1 - e^{-2r})/2, so
+    # the sum is at most |g_min| * sum|shift_k|.  Slack: the mode sum forms
+    # each j2(x)/x from turned phasors, off by rounding of order eps*x, and
+    # adds |g_min| * sum(a) and the non-positive sinh(2r) * sum(a*c^2) apart
+    state = SqueezeState(r, theta)
+    band = BandSpec(center=center, half_width=ratio * center, solid_angle=0.1)
+    traj = Trajectory(apex=0.1, half_time=1.0)
+    got = mode_sum_oracle(state, band, traj, n, t0)
+    omegas, shifts, _ = _per_mode_terms(state, band, traj, n, t0)
+    size = np.abs(shifts)
+    bound = -phase_weight_min(r) * math.fsum(size)
+    slack = -phase_weight_min(r) * 64 * EPS * math.fsum(size * (1.0 + omegas))
+    assert got <= bound + slack, (got, bound, slack)

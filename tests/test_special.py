@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from recoherence import SQUEEZE_CAP, locate_envelope_max
 from recoherence._special import (
     _j2_over_x_at,
-    _phase_weight_at,
+    _phase_weight_terms,
     j2_over_x,
     phase_weight,
     phase_weight_max,
@@ -160,13 +160,15 @@ def test_import_pulls_in_no_scipy():
     st.floats(0.0, SQUEEZE_CAP),
 )
 def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
-    # the mode sum's route: the kernels past their sines and cosines, written
-    # into out, with 1/x written over a copy of x; out changes where a value
-    # is written, not an operation
+    # the mode sum's route: j2(x)/x past its sine and cosine, written into
+    # out, with 1/x written over a copy of x (out changes where a value is
+    # written, not an operation); and the phase weight's two terms, which
+    # the mode sum sums apart, recombined as phase_weight combines them
     x = np.array(xs)
     out = np.full(x.size, np.nan)
     u = x.copy()
     assert _j2_over_x_at(u, np.sin(x), np.cos(x), out, u) is out
     assert out.tobytes() == j2_over_x(x).tobytes()
-    got = _phase_weight_at(r, np.cos(0.5 * x), out)
-    assert got is out and out.tobytes() == phase_weight(r, x).tobytes()
+    low, swing = _phase_weight_terms(r)
+    c = np.cos(0.5 * x)
+    assert (low + swing * c * c).tobytes() == phase_weight(r, x).tobytes()
