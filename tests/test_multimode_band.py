@@ -325,7 +325,7 @@ def test_mode_sum_bits_do_not_depend_on_workers(n):
                 pool.submit(mode_sum_oracle, state, band, traj, n, 0.3)
                 for _ in range(workers)
             ]
-            assert {call.result().hex() for call in calls} == {want}
+            assert {call.result(timeout=60).hex() for call in calls} == {want}
 
 
 def test_workers_are_capped(monkeypatch):
