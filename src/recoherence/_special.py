@@ -12,12 +12,18 @@ The mode sum has the sines and cosines of its modes another way (it turns
 a phasor from mode to mode), so the two kernels that take one are split
 where they take it.  ``j2_over_x`` is np.sin and np.cos followed by
 ``_j2_over_x_at``; fed the same sines and cosines, it gives the bits of the
-whole kernel.  ``_j2_over_x_at`` takes an optional numpy-style ``out``, so the
-mode sum's loop over blocks of modes reuses one workspace: its trigonometric
-form is written once, as a chain of ``_mul``/``_sub`` steps in the order of
-the expression, so a float, an array and an array written into ``out`` get
-the same bits.  ``phase_weight`` is cos(phase/2) and the two terms of
+whole kernel.  ``phase_weight`` is cos(phase/2) and the two terms of
 ``_phase_weight_terms``, which the mode sum sums apart.
+
+The mode sum needs omega*(j2(x)/x)^2, not j2(x)/x, so it has a bracket of
+its own: ``_j2_squared_over_x`` forms j2(x)^2/x = u*(u*w)^2 at u = 1/x,
+w = 3u*(u*sin x - cos x) - sin x, in eight passes over one array once u
+is formed, where j2(x)/x, squared and times omega, takes eleven.  Its bits
+are its own: written that way, the shared ``_j2_over_x_trig`` would move
+the bits of ``j2_over_x`` and of the frozen sweep output
+(tests/golden_sweep.csv).  Below the cut the mode sum sums the series in
+place with ``_j2_series_into``, which has the bits of
+``_j2_over_x_series``.
 
 j2(x)/x, with j2 the spherical Bessel function (DLMF 10.49.3, 10.53.1),
 is evaluated in two pieces that meet at ``_J2_SERIES_CUT`` = 2:
@@ -63,16 +69,6 @@ def _each(kernel, *args):
         return np.asarray(np.frompyfunc(kernel, len(args), 1)(*args), dtype=float)
 
 
-def _mul(a, b, out=None):
-    """a * b, written into ``out`` when given (a float stays a Python float)."""
-    return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _sub(a, b, out=None):
-    """a - b, written into ``out`` when given."""
-    return a - b if out is None else np.subtract(a, b, out=out)
-
-
 def _j2_over_x_series(x):
     q = x * x
     s = _J2_SERIES[-1]
@@ -81,13 +77,9 @@ def _j2_over_x_series(x):
     return x * s
 
 
-def _j2_over_x_trig(u, sin_x, cos_x, out=None):
-    """((3*u^2 - 1)*sin(x) - 3*cos(x)*u)*u^2 at u = 1/x, floats or arrays;
-    with ``out`` the cosine term is formed over ``cos_x``."""
-    term = None if out is None else cos_x
-    term = _mul(_mul(3.0, cos_x, term), u, term)
-    value = _mul(_sub(_mul(_mul(3.0, u, out), u, out), 1.0, out), sin_x, out)
-    return _mul(_mul(_sub(value, term, out), u, out), u, out)
+def _j2_over_x_trig(u, sin_x, cos_x):
+    """((3*u^2 - 1)*sin(x) - 3*cos(x)*u)*u^2 at u = 1/x, floats or arrays."""
+    return ((3.0 * u * u - 1.0) * sin_x - 3.0 * cos_x * u) * u * u
 
 
 def j2_over_x(x):
@@ -110,13 +102,11 @@ def j2_over_x(x):
         return _j2_over_x_at(x, np.sin(x), np.cos(x))
 
 
-def _j2_over_x_at(x, sin_x, cos_x, out=None, u=None):
+def _j2_over_x_at(x, sin_x, cos_x):
     """j2_over_x at an array x, given arrays of sin x and cos x.
 
-    All x on one trigonometric side: the trigonometric form, written into
-    ``out`` and with 1/x in ``u`` (which may be x) when given; ``cos_x`` is
-    overwritten then.  Otherwise each x takes its side of the cut, and
-    +-inf gives 0.
+    All x finite and on one trigonometric side: the trigonometric form.
+    Otherwise each x takes its side of the cut, and +-inf gives 0.
     """
     if x.size:
         low, high = x.min(), x.max()
@@ -124,8 +114,8 @@ def _j2_over_x_at(x, sin_x, cos_x, out=None, u=None):
         if (_J2_SERIES_CUT <= low and high < math.inf) or (
             -math.inf < low and high <= -_J2_SERIES_CUT
         ):
-            return _j2_over_x_trig(np.divide(1.0, x, out=u), sin_x, cos_x, out)
-    value = np.empty_like(x) if out is None else out
+            return _j2_over_x_trig(1.0 / x, sin_x, cos_x)
+    value = np.empty_like(x)
     small = np.abs(x) < _J2_SERIES_CUT
     value[small] = _j2_over_x_series(x[small])
     big = ~small
@@ -134,6 +124,37 @@ def _j2_over_x_at(x, sin_x, cos_x, out=None, u=None):
         np.isinf(xb), 0.0, _j2_over_x_trig(1.0 / xb, sin_x[big], cos_x[big])
     )
     return value
+
+
+def _j2_squared_over_x(u, sin_x, cos_x, out):
+    """j2(x)^2/x at arrays u = 1/x, sin x and cos x, every |x| at or above
+    the cut, written into ``out``: the mode sum's bracket.
+
+    j2(x)/x is u^2 * w with w = 3u*(u*sin x - cos x) - sin x, so
+    j2(x)^2/x = x * (j2(x)/x)^2 = u * (u*w)^2: eight passes over ``out``.
+    w is linear in the sine and cosine: given k*sin x and k*cos x, the value
+    is k^2 * j2(x)^2/x.
+    """
+    np.multiply(u, sin_x, out=out)
+    out -= cos_x
+    out *= u
+    out *= 3.0
+    out -= sin_x
+    out *= u
+    out *= out
+    out *= u
+    return out
+
+
+def _j2_series_into(q, out):
+    """The series of j2(x)/x over x, at an array q = x^2, written into
+    ``out``: x times it is ``_j2_over_x_series(x)``, with its bits."""
+    np.multiply(q, _J2_SERIES[-1], out=out)
+    for coeff in _J2_SERIES[-2:0:-1]:
+        out += coeff
+        out *= q
+    out += _J2_SERIES[0]
+    return out
 
 
 def window_half_angle(r: float) -> float:

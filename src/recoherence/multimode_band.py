@@ -33,7 +33,8 @@ from .oracle_quadrature import integrate_oscillatory
 from .single_mode import _emission_phase, _mode_shift, _modulation, _per_mode
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import _j2_over_x_at, _phase_weight_terms, windowed_phase_weight
+from ._special import _J2_SERIES_CUT, _j2_over_x_at, _j2_series_into
+from ._special import _j2_squared_over_x, _phase_weight_terms, windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
@@ -209,14 +210,22 @@ def mode_sum_oracle(
     the calling thread.  No mode takes a sine or cosine of its own: the
     modes are equally spaced, so e^{i*omega*T} and e^{i*phase/2} of the
     block's mode j are the block's first phasors turned by the tables
-    e^{i*j*cell*T} and e^{i*j*cell*t0}, built once a call; one complex
-    multiply a mode and angle.  Every block is evaluated in one workspace of
-    three block-sized real arrays and one complex one, allocated once a
-    call, and adds the ``np.sum`` of its a and of its a * c^2 to the two
-    sums.  Memory is the 640 KiB of tables and 640 KiB of workspace, whatever
-    the mode count; ``MAX_MODES`` bounds the time.  RangeError when the
-    emission phase, the top mode's cell volume or the sum leaves double
-    precision.
+    e^{i*j*cell*T} and e^{i*j*cell*t0}, built once a call by doubling
+    (``_turns``); one complex multiply a mode and angle.  Its omega is the
+    first mode's plus j*cell, from a table built once a call.  omega
+    increases along the block, so its end modes say which side of the
+    series cut of j2 it reaches: above the cut a = j2(x)^2/(x*T) comes from
+    the bracket ``_special._j2_squared_over_x``, below it from the series;
+    a block that straddles the cut splits there.  Every block is evaluated
+    in one workspace of three block-sized real arrays and one complex one,
+    and adds the ``np.sum`` of its a and of its a * c^2 to the two sums.
+    The workspace and the two turn tables are one allocation a call: freed,
+    a piece of that size stays with glibc's allocator for the next call,
+    where five pieces went back to the system and were faulted in again.
+    Memory is the 128 KiB step table, 512 KiB of turn tables and 640 KiB of
+    workspace, whatever the mode count; ``MAX_MODES`` bounds the time.
+    RangeError when the emission phase, the top mode's cell volume or the
+    sum leaves double precision.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
@@ -234,31 +243,30 @@ def mode_sum_oracle(
     amplitude = 16.0 * traj.apex  # M = (amplitude * s)^2, as _envelope forms it
     low, swing = _phase_weight_terms(state.r)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
-        # the offsets j of a block and e^{i*j*cell*T}, e^{i*j*cell*t0}, the
-        # turns of omega*T and of the half phase
-        offsets = np.arange(min(n, _MODE_BLOCK), dtype=float)
-        turns_x, turns_half = (
-            np.exp(1j * (offsets * (cell * step))) for step in (half_time, t0)
-        )
-        workspace = np.empty((3, offsets.size))
-        turned = np.empty(offsets.size, dtype=complex)
+        # a block's mode j lies j*cell above its first mode; e^{i*j*cell*T}
+        # and e^{i*j*cell*t0} turn omega*T and the half phase that far; the
+        # tables and the workspace (omega, a and x, and the turned phasor)
+        # are views of one allocation
+        steps = np.arange(min(n, _MODE_BLOCK), dtype=float)
+        steps *= cell
+        memory = np.empty(9 * steps.size)
+        complex_ = memory[: 6 * steps.size].view(complex).reshape(3, -1)
+        turns_x, turns_half, turned = complex_
+        workspace = memory[6 * steps.size :].reshape(3, -1)
+        _turns(turns_x, cell * half_time)
+        _turns(turns_half, cell * t0)
         sum_a = sum_ac2 = 0.0
         for start in range(0, n, _MODE_BLOCK):
             size = min(_MODE_BLOCK, n - start)
             omegas, a, x = workspace[:, :size]
             z = turned[:size]
-            # lo + (k + 0.5)*cell at mode k = start + offset, exact in k
-            np.add(offsets[:size], start + 0.5, out=omegas)
-            omegas *= cell
-            omegas += lo
-            first = float(omegas[0])
-            # e^{i*omega*T}: the first mode's phasor turned j cells; 1/x is
-            # written over x, j2(x)/x into a
-            np.multiply(turns_x[:size], _phasor(first * half_time), out=z)
-            np.multiply(omegas, half_time, out=x)
-            _j2_over_x_at(x, z.imag, z.real, a, x)
-            a *= a
-            a *= omegas
+            first = lo + (start + 0.5) * cell
+            np.add(steps[:size], first, out=omegas)
+            # a = omega*(j2(x)/x)^2 at x = omega*T, from e^{i*omega*T}: the
+            # first mode's phasor turned j cells
+            _frequency_terms(
+                omegas, half_time, turns_x[:size], _phasor(first * half_time), z, a, x
+            )
             sum_a += np.sum(a)
             # e^{i*phase/2} alike, from the first mode's emission phase
             half = 0.5 * _emission_phase(state.theta, first, t0)
@@ -268,6 +276,59 @@ def mode_sum_oracle(
             sum_ac2 += np.sum(x)
         value = coupling * (low * sum_a + swing * sum_ac2) * amplitude * amplitude
         return _finite_result(float(value), "mode sum")
+
+
+def _frequency_terms(omegas, half_time, turns, phasor, z, out, scratch):
+    """omega*(j2(x)/x)^2 at the increasing x = omegas*half_time of a block,
+    given e^{i*x} as ``turns`` times ``phasor``, written into ``out``; ``z``
+    and ``scratch`` are overwritten.
+
+    x increases along the block, so its end modes say where it reaches: the
+    modes below the series cut take the series, the rest the mode sum's
+    bracket u*(u*w)^2 = j2(x)^2/x, fed e^{i*x}/sqrt(T) so that it gives
+    j2(x)^2/(x*T), which is omega*(j2(x)/x)^2; each in place.  A block whose
+    top x is past double precision takes ``_j2_over_x_at``'s masked path,
+    where +-inf gives 0.
+    """
+    top = float(omegas[-1]) * half_time
+    if not top < math.inf:
+        np.multiply(turns, phasor, out=z)
+        x = np.multiply(omegas, half_time, out=scratch)
+        value = _j2_over_x_at(x, z.imag, z.real)
+        np.multiply(value, value, out=out)
+        out *= omegas
+        return
+    if float(omegas[0]) * half_time >= _J2_SERIES_CUT:
+        cut = 0
+    elif top < _J2_SERIES_CUT:
+        cut = omegas.size
+    else:
+        cut = int(np.searchsorted(omegas, _J2_SERIES_CUT / half_time))
+    if cut:
+        # j2(x)/x = x * series(x^2), then squared and times omega
+        q = np.multiply(omegas[:cut], half_time, out=scratch[:cut])
+        q *= q
+        value = _j2_series_into(q, out[:cut])
+        value *= np.multiply(omegas[:cut], half_time, out=q)
+        value *= value
+        value *= omegas[:cut]
+    if cut < omegas.size:
+        np.multiply(turns[cut:], phasor / math.sqrt(half_time), out=z[cut:])
+        u = np.divide(1.0 / half_time, omegas[cut:], out=omegas[cut:])
+        _j2_squared_over_x(u, z.imag[cut:], z.real[cut:], out[cut:])
+
+
+def _turns(table, step):
+    """Fill ``table`` with e^{i*j*step}, j = 0, 1, ..., one power-of-two span
+    at a time: span [m, 2m) is span [0, m) turned by e^{i*m*step}, and
+    m*step is exact since m is a power of two."""
+    table[0] = 1.0
+    span = 1
+    while span < table.size:
+        head = min(span, table.size - span)
+        np.multiply(table[:head], _phasor(span * step), out=table[span : span + head])
+        span *= 2
+    return table
 
 
 def _phasor(angle: float) -> complex:

@@ -26,9 +26,9 @@ from recoherence import (
     modulation_max,
 )
 from recoherence import multimode_band, oracle_quadrature
-from recoherence._special import _j2_over_x_at, phase_weight_min
+from recoherence._special import _j2_squared_over_x, phase_weight_min
 from recoherence.constants import FINE_STRUCTURE
-from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume
+from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume, _turns
 from recoherence.single_mode import _mode_shift, _modulation
 
 # Frozen from a 30-digit mpmath evaluation of the continuum band integral
@@ -280,6 +280,28 @@ def test_mode_sum_is_the_per_mode_sum_to_rounding(n):
             assert abs(got - want) <= tol, (t0, "mpmath")
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        0.668 / 10**6,  # cell*T of the band 3.34 +- 0.334 at 10^6 modes, T = 1
+        0.668 / 10**6 * 1e4,  # its cell*t0 at t0 = 1e4
+        6.68,  # above 2*pi
+    ],
+)
+def test_turn_table_is_e_to_the_i_j_step_to_rounding(step):
+    # every entry of the doubled table within 4 eps of the 50-digit
+    # e^{i*j*step} (1.6 eps measured is typical; the worst of these is
+    # 2.9 eps); the reference turns by e^{i*step} one mode at a time
+    table = _turns(np.empty(_MODE_BLOCK, dtype=complex), step)
+    with mpmath.workdps(50):
+        turn, ref = mpmath.expj(step), mpmath.mpc(1)
+        errors = []
+        for value in table.tolist():
+            errors.append(complex(ref - value))
+            ref *= turn
+    assert np.max(np.abs(errors)) <= 4 * EPS
+
+
 @pytest.mark.parametrize("t0", [1e308, -1e308])
 def test_emission_phase_overflow_is_named(t0):
     # refused before any block runs, so numpy warns nothing (pyproject turns
@@ -290,23 +312,27 @@ def test_emission_phase_overflow_is_named(t0):
 
 
 def test_mode_sum_memory_is_one_array_and_a_block():
-    # the arrays alive at the peak: the block offsets and the two turn
+    # the arrays alive at the peak: the block's mode steps and the two turn
     # tables (one real and two complex block-sized arrays), then the
     # workspace (three real and one complex), allocated once the tables are
     # built, so the tables' build temporaries are gone by then; under a
     # 64 KiB slack, whatever the mode count, so a block-sized array
-    # allocated per block, or 8 bytes a mode, breaks the bound
-    state, band, traj = _setup()
+    # allocated per block, or 8 bytes a mode, breaks the bound.  Also for
+    # bands that reach below the j2 series cut at omega*T = 2 (2.0 +- 0.5)
+    # or lie wholly below it (1.0 +- 0.5)
+    state, _, traj = _setup()
     real, complex_ = 8 * _MODE_BLOCK, 16 * _MODE_BLOCK
     bound = (real + 2 * complex_) + (3 * real + complex_) + 2**16
-    for n in (10**6, 10**7):
-        tracemalloc.start()
-        try:
-            mode_sum_oracle(state, band, traj, n, 0.3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (n, peak)
+    for center, half_width in ((3.34, 0.334), (2.0, 0.5), (1.0, 0.5)):
+        band = BandSpec(center=center, half_width=half_width, solid_angle=0.1)
+        for n in (10**6, 10**7):
+            tracemalloc.start()
+            try:
+                mode_sum_oracle(state, band, traj, n, 0.3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (center, n, peak)
 
 
 @pytest.mark.parametrize(
@@ -338,21 +364,21 @@ def test_workers_are_capped(monkeypatch):
 
 
 def _on_each_block(monkeypatch, each):
-    """Call each(first mode's omega*T) as every block of the mode sum starts
-    its j2(x)/x."""
+    """Call each(first mode's 1/(omega*T)) as every block of the mode sum
+    starts its trigonometric bracket."""
 
-    def j2_over_x_at(x, *args):
-        each(float(x[0]))
-        return _j2_over_x_at(x, *args)
+    def j2_squared_over_x(u, *args):
+        each(float(u[0]))
+        return _j2_squared_over_x(u, *args)
 
-    monkeypatch.setattr(multimode_band, "_j2_over_x_at", j2_over_x_at)
+    monkeypatch.setattr(multimode_band, "_j2_squared_over_x", j2_squared_over_x)
 
 
 @pytest.mark.parametrize("blocks", [2, 4])
 def test_every_block_keeps_the_callers_errstate(monkeypatch, blocks):
     state, band, traj = _setup()
     seen = []
-    _on_each_block(monkeypatch, lambda x: seen.append(np.geterr()["under"]))
+    _on_each_block(monkeypatch, lambda u: seen.append(np.geterr()["under"]))
     with np.errstate(under="raise"):
         mode_sum_oracle(state, band, traj, blocks * _MODE_BLOCK, 0.3)
     assert seen == ["raise"] * blocks
@@ -362,14 +388,14 @@ def _fail_blocks(monkeypatch, band, traj, n, starts):
     """Make the blocks of an n-mode sum at ``starts`` raise RangeError; return
     the list of the blocks started."""
     cell = 2.0 * band.half_width / n
-    at = {(band.edges[0] + (start + 0.5) * cell) * traj.half_time: start
+    at = {(1.0 / traj.half_time) / (band.edges[0] + (start + 0.5) * cell): start
           for start in range(0, n, _MODE_BLOCK)}
     started = []
 
-    def each(x):
-        started.append(at[x])
-        if at[x] in starts:
-            raise RangeError(f"injected at block {at[x]}")
+    def each(u):
+        started.append(at[u])
+        if at[u] in starts:
+            raise RangeError(f"injected at block {at[u]}")
 
     _on_each_block(monkeypatch, each)
     return started

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from recoherence import SQUEEZE_CAP, locate_envelope_max
 from recoherence._special import (
-    _j2_over_x_at,
+    _J2_SERIES_CUT,
+    _j2_squared_over_x,
+    _j2_series_into,
     _phase_weight_terms,
     j2_over_x,
     phase_weight,
@@ -150,25 +152,40 @@ def test_import_pulls_in_no_scipy():
     assert proc.stdout.decode().strip() == "[]"
 
 
+def test_j2_squared_over_x_matches_mpmath():
+    # j2(x)^2/x = x*(j2(x)/x)^2 as the mode sum forms it: from the series
+    # written in place below the cut, and from the bracket u*(u*w)^2 at
+    # u = 1/x from the cut on
+    x = _POINTS
+    below = x < _J2_SERIES_CUT
+    values = np.empty_like(x)
+    xb = x[below]
+    values[below] = xb * (xb * _j2_series_into(xb * xb, np.empty(xb.size))) ** 2
+    above = x[~below]
+    values[~below] = _j2_squared_over_x(
+        1.0 / above, np.sin(above), np.cos(above), np.empty(above.size)
+    )
+    worst = max(
+        float(abs(mpmath.mpf(float(v)) - x0 * ref**2)) / (x0 * _scale(x0) ** 2)
+        for v, x0, ref in zip(values, x, _REFS)
+    )
+    assert worst <= 1e-14
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    st.one_of(
-        st.lists(st.floats(2.0, 1e300), min_size=1, max_size=40),
-        st.lists(st.floats(-1e300, -2.0), min_size=1, max_size=40),
-        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
-    ),
+    st.lists(st.floats(-1.999, 1.999), min_size=1, max_size=40),
     st.floats(0.0, SQUEEZE_CAP),
 )
 def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
-    # the mode sum's route: j2(x)/x past its sine and cosine, written into
-    # out, with 1/x written over a copy of x (out changes where a value is
-    # written, not an operation); and the phase weight's two terms, which
-    # the mode sum sums apart, recombined as phase_weight combines them
+    # the mode sum's series of j2(x)/x, written into out at q = x^2, times
+    # x has j2_over_x's bits below the cut; and the phase weight's two
+    # terms, which the mode sum sums apart, recombined as phase_weight
+    # combines them
     x = np.array(xs)
     out = np.full(x.size, np.nan)
-    u = x.copy()
-    assert _j2_over_x_at(u, np.sin(x), np.cos(x), out, u) is out
-    assert out.tobytes() == j2_over_x(x).tobytes()
+    assert _j2_series_into(x * x, out) is out
+    assert (x * out).tobytes() == j2_over_x(x).tobytes()
     low, swing = _phase_weight_terms(r)
     c = np.cos(0.5 * x)
     assert (low + swing * c * c).tobytes() == phase_weight(r, x).tobytes()
