@@ -174,7 +174,12 @@ def test_j2_squared_over_x_matches_mpmath():
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.floats(-1.999, 1.999), min_size=1, max_size=40),
+    st.one_of(
+        st.lists(st.floats(2.0, 1e300), min_size=1, max_size=40),
+        st.lists(st.floats(-1e300, -2.0), min_size=1, max_size=40),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+        st.lists(st.floats(-1.999, 1.999), min_size=1, max_size=40),
+    ),
     st.floats(0.0, SQUEEZE_CAP),
 )
 def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
@@ -183,9 +188,10 @@ def test_kernels_written_into_out_have_the_allocating_bits(xs, r):
     # terms, which the mode sum sums apart, recombined as phase_weight
     # combines them
     x = np.array(xs)
-    out = np.full(x.size, np.nan)
-    assert _j2_series_into(x * x, out) is out
-    assert (x * out).tobytes() == j2_over_x(x).tobytes()
+    below = x[np.abs(x) < _J2_SERIES_CUT]
+    out = np.full(below.size, np.nan)
+    assert _j2_series_into(below * below, out) is out
+    assert (below * out).tobytes() == j2_over_x(below).tobytes()
     low, swing = _phase_weight_terms(r)
     c = np.cos(0.5 * x)
     assert (low + swing * c * c).tobytes() == phase_weight(r, x).tobytes()
