@@ -8,13 +8,6 @@ rewrite that is exact over the full supported range.  Only ``math`` and
 numpy are used: a Python float takes a ``math`` fast path, an array of x or
 of the phase one numpy pass, and ``_each`` maps a kernel of r over an array.
 
-The mode sum has the sines and cosines of its modes another way (it turns
-a phasor from mode to mode), so the two kernels that take one are split
-where they take it.  ``j2_over_x`` is np.sin and np.cos followed by
-``_j2_over_x_at``; fed the same sines and cosines, it gives the bits of the
-whole kernel.  ``phase_weight`` is cos(phase/2) and the two terms of
-``_phase_weight_terms``, which the mode sum sums apart.
-
 The mode sum needs omega*(j2(x)/x)^2, not j2(x)/x, so it has a bracket of
 its own: ``_j2_squared_over_x`` forms j2(x)^2/x = u*(u*w)^2 at u = 1/x,
 w = 3u*(u*sin x - cos x) - sin x, in eight passes over one array once u
@@ -98,31 +91,21 @@ def j2_over_x(x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return j2_over_x(float(x))
-    with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended in _j2_over_x_at
-        return _j2_over_x_at(x, np.sin(x), np.cos(x))
-
-
-def _j2_over_x_at(x, sin_x, cos_x):
-    """j2_over_x at an array x, given arrays of sin x and cos x.
-
-    All x finite and on one trigonometric side: the trigonometric form.
-    Otherwise each x takes its side of the cut, and +-inf gives 0.
-    """
     if x.size:
         low, high = x.min(), x.max()
         # every point finite and on one trigonometric side (nan fails too)
         if (_J2_SERIES_CUT <= low and high < math.inf) or (
             -math.inf < low and high <= -_J2_SERIES_CUT
         ):
-            return _j2_over_x_trig(1.0 / x, sin_x, cos_x)
+            return _j2_over_x_trig(1.0 / x, np.sin(x), np.cos(x))
+    # otherwise each x takes its side of the cut, and +-inf gives 0
     value = np.empty_like(x)
     small = np.abs(x) < _J2_SERIES_CUT
     value[small] = _j2_over_x_series(x[small])
-    big = ~small
-    xb = x[big]
-    value[big] = np.where(
-        np.isinf(xb), 0.0, _j2_over_x_trig(1.0 / xb, sin_x[big], cos_x[big])
-    )
+    xb = x[~small]
+    with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended by the where
+        trig = _j2_over_x_trig(1.0 / xb, np.sin(xb), np.cos(xb))
+    value[~small] = np.where(np.isinf(xb), 0.0, trig)
     return value
 
 

@@ -33,7 +33,7 @@ from .oracle_quadrature import integrate_oscillatory
 from .single_mode import _emission_phase, _mode_shift, _modulation, _per_mode
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import _J2_SERIES_CUT, _j2_over_x_at, _j2_series_into
+from ._special import _J2_SERIES_CUT, _j2_series_into
 from ._special import _j2_squared_over_x, _phase_weight_terms, windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
@@ -212,18 +212,20 @@ def mode_sum_oracle(
     block's mode j are the block's first phasors turned by the tables
     e^{i*j*cell*T} and e^{i*j*cell*t0}, built once a call by doubling
     (``_turns``); one complex multiply a mode and angle.  Its omega is the
-    first mode's plus j*cell, from a table built once a call.  omega
-    increases along the block, so its end modes say which side of the
-    series cut of j2 it reaches: above the cut a = j2(x)^2/(x*T) comes from
-    the bracket ``_special._j2_squared_over_x``, below it from the series;
-    a block that straddles the cut splits there.  Every block is evaluated
-    in one workspace of three block-sized real arrays and one complex one,
-    and adds the ``np.sum`` of its a and of its a * c^2 to the two sums.
-    The workspace and the two turn tables are one allocation a call: freed,
-    a piece of that size stays with glibc's allocator for the next call,
-    where five pieces went back to the system and were faulted in again.
-    Memory is the 128 KiB step table, 512 KiB of turn tables and 640 KiB of
-    workspace, whatever the mode count; ``MAX_MODES`` bounds the time.
+    first mode's plus j*cell, from a table built once a call.  a comes from
+    one of two j2 kernels, each in place: below the series cut of j2 at
+    omega*T = 2 the series ``_special._j2_series_into``, from the cut on the
+    bracket ``_special._j2_squared_over_x``; omega increases along the
+    block, so one ``np.searchsorted`` splits it at the cut.  The sum ends at
+    the first block whose top omega*T is past double precision: since
+    half_width < center, the lowest omega is at least 2^-54 of the highest,
+    so every mode then has omega*T >= 1e292, where a rounds to +0.  Every
+    block is evaluated in one workspace of three block-sized real arrays
+    and one complex one, and adds the ``np.sum`` of its a and of its a * c^2
+    to the two sums.  The workspace and the two turn tables are one
+    allocation a call.  Memory is the 128 KiB step table, 512 KiB of turn
+    tables and 640 KiB of workspace, whatever the mode count; ``MAX_MODES``
+    bounds the time.
     RangeError when the emission phase, the top mode's cell volume or the
     sum leaves double precision.
     """
@@ -236,7 +238,7 @@ def mode_sum_oracle(
     # 2*omega*t0 - theta is monotone in omega: finite at the end modes,
     # finite at every mode
     for omega in ends:
-        _modulation(state.r, state.theta, omega, t0)
+        _finite_result(_emission_phase(state.theta, omega, t0), "emission phase")
     # V falls with omega: the top mode's is the smallest
     _cell_volume(band.solid_angle, ends[1], cell)
     coupling = _per_mode(1.0, _cell_volume(band.solid_angle, 1.0, cell), 1.0)
@@ -262,11 +264,25 @@ def mode_sum_oracle(
             z = turned[:size]
             first = lo + (start + 0.5) * cell
             np.add(steps[:size], first, out=omegas)
-            # a = omega*(j2(x)/x)^2 at x = omega*T, from e^{i*omega*T}: the
-            # first mode's phasor turned j cells
-            _frequency_terms(
-                omegas, half_time, turns_x[:size], _phasor(first * half_time), z, a, x
-            )
+            if not float(omegas[-1]) * half_time < math.inf:
+                break  # every a from here on rounds to +0
+            # a = omega*(j2(x)/x)^2 at x = omega*T, in place: below the cut
+            # x * series(x^2), squared and times omega
+            cut = int(np.searchsorted(omegas, _J2_SERIES_CUT / half_time))
+            if cut:
+                q = np.multiply(omegas[:cut], half_time, out=x[:cut])
+                q *= q
+                value = _j2_series_into(q, a[:cut])
+                value *= np.multiply(omegas[:cut], half_time, out=q)
+                value *= value
+                value *= omegas[:cut]
+            # from the cut on the bracket, fed e^{i*x}/sqrt(T) (the first
+            # mode's phasor turned j cells) so that it gives j2(x)^2/(x*T)
+            if cut < size:
+                phasor = _phasor(first * half_time) / math.sqrt(half_time)
+                np.multiply(turns_x[cut:size], phasor, out=z[cut:])
+                u = np.divide(1.0 / half_time, omegas[cut:], out=omegas[cut:])
+                _j2_squared_over_x(u, z.imag[cut:], z.real[cut:], a[cut:])
             sum_a += np.sum(a)
             # e^{i*phase/2} alike, from the first mode's emission phase
             half = 0.5 * _emission_phase(state.theta, first, t0)
@@ -276,46 +292,6 @@ def mode_sum_oracle(
             sum_ac2 += np.sum(x)
         value = coupling * (low * sum_a + swing * sum_ac2) * amplitude * amplitude
         return _finite_result(float(value), "mode sum")
-
-
-def _frequency_terms(omegas, half_time, turns, phasor, z, out, scratch):
-    """omega*(j2(x)/x)^2 at the increasing x = omegas*half_time of a block,
-    given e^{i*x} as ``turns`` times ``phasor``, written into ``out``; ``z``
-    and ``scratch`` are overwritten.
-
-    x increases along the block, so its end modes say where it reaches: the
-    modes below the series cut take the series, the rest the mode sum's
-    bracket u*(u*w)^2 = j2(x)^2/x, fed e^{i*x}/sqrt(T) so that it gives
-    j2(x)^2/(x*T), which is omega*(j2(x)/x)^2; each in place.  A block whose
-    top x is past double precision takes ``_j2_over_x_at``'s masked path,
-    where +-inf gives 0.
-    """
-    top = float(omegas[-1]) * half_time
-    if not top < math.inf:
-        np.multiply(turns, phasor, out=z)
-        x = np.multiply(omegas, half_time, out=scratch)
-        value = _j2_over_x_at(x, z.imag, z.real)
-        np.multiply(value, value, out=out)
-        out *= omegas
-        return
-    if float(omegas[0]) * half_time >= _J2_SERIES_CUT:
-        cut = 0
-    elif top < _J2_SERIES_CUT:
-        cut = omegas.size
-    else:
-        cut = int(np.searchsorted(omegas, _J2_SERIES_CUT / half_time))
-    if cut:
-        # j2(x)/x = x * series(x^2), then squared and times omega
-        q = np.multiply(omegas[:cut], half_time, out=scratch[:cut])
-        q *= q
-        value = _j2_series_into(q, out[:cut])
-        value *= np.multiply(omegas[:cut], half_time, out=q)
-        value *= value
-        value *= omegas[:cut]
-    if cut < omegas.size:
-        np.multiply(turns[cut:], phasor / math.sqrt(half_time), out=z[cut:])
-        u = np.divide(1.0 / half_time, omegas[cut:], out=omegas[cut:])
-        _j2_squared_over_x(u, z.imag[cut:], z.real[cut:], out[cut:])
 
 
 def _turns(table, step):

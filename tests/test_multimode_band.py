@@ -339,7 +339,7 @@ def test_mode_sum_memory_is_one_array_and_a_block():
     "n",
     [1, _MODE_BLOCK - 1, _MODE_BLOCK, _MODE_BLOCK + 1, 3 * _MODE_BLOCK + 7, 10**6],
 )
-def test_mode_sum_bits_do_not_depend_on_workers(n):
+def test_mode_sum_bits_do_not_depend_on_concurrent_callers(n):
     # the mode sum holds no state between calls: called at once from 1, 2
     # and 4 of the caller's worker threads it gives the bits of a call in
     # this thread
@@ -354,7 +354,7 @@ def test_mode_sum_bits_do_not_depend_on_workers(n):
             assert {call.result(timeout=60).hex() for call in calls} == {want}
 
 
-def test_workers_are_capped(monkeypatch):
+def test_mode_sum_starts_no_thread(monkeypatch):
     # at no worker thread: the blocks run in the calling thread
     state, band, traj = _setup()
     started = []
@@ -402,7 +402,7 @@ def _fail_blocks(monkeypatch, band, traj, n, starts):
 
 
 @pytest.mark.parametrize("first", [2, 4])
-def test_worker_failure_raises_the_serial_exception(monkeypatch, capfd, first):
+def test_the_first_failing_block_ends_the_sum(monkeypatch, capfd, first):
     # blocks 0 to 5: the first failing block raises, and no later block runs
     state, band, traj = _setup()
     n = 5 * _MODE_BLOCK + 7
@@ -449,7 +449,12 @@ def test_mode_sum_at_the_edges_is_refused_or_finite(
     traj = Trajectory(apex=apex, half_time=half_time)
     for n in (4, 3 * _MODE_BLOCK + 7):
         if message is None:
-            assert math.isfinite(mode_sum_oracle(state, band, traj, n, 0.3))
+            got = mode_sum_oracle(state, band, traj, n, 0.3)
+            assert math.isfinite(got)
+            if band.edges[1] * half_time == math.inf:
+                # the sum ends at the block past double precision: each a
+                # rounds to +0, and the negative coupling gives -0.0
+                assert got.hex() == "-0x0.0p+0", n
         else:
             with pytest.raises(RangeError, match=message):
                 mode_sum_oracle(state, band, traj, n, 0.3)
