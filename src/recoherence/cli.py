@@ -348,13 +348,16 @@ def _show_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _warn_relativistic(traj: Trajectory) -> None:
+def _trajectory(apex: float) -> Trajectory:
+    """Trajectory(apex, T = 1), with one warning line when it is superluminal."""
+    traj = Trajectory(apex, 1.0)
     if traj.is_relativistic:
         print(
             f"warning: trajectory peak speed {traj.max_speed:.6g} exceeds 1 "
             "(units with c = 1); results are formal",
             file=sys.stderr,
         )
+    return traj
 
 
 def _mode_volume(omega: float, ratio: float) -> float:
@@ -390,14 +393,12 @@ def _emission_time(t0_omega: float, omega: float) -> float:
 def _run_single_mode(v: dict, output: str | None) -> int:
     state = SqueezeState(v["r"], v["theta"])
     mode = _mode_from(v["omega-bar-T"], v["lambda3-over-V"])
-    traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
-    _warn_relativistic(traj)
+    traj = _trajectory(v["ratio-RT"])
     n = v["t0-grid"]
     t0 = np.arange(n) * (math.pi / mode.omega) / n
     cells = _table(state.r, state.theta, mode.omega, mode.volume, traj.apex, t0)
-    refused = ~(np.isfinite(cells["w_r"]) & np.isfinite(cells["contrast_factor"]))
-    if refused.any():  # the scalar path raises this row's RangeError
-        coherence_shift(state, mode, traj, float(t0[refused.argmax()]))
+    if cells["refused"].any():  # the scalar path raises this row's RangeError
+        coherence_shift(state, mode, traj, float(t0[cells["refused"].argmax()]))
     header = ("t0", "g", "w_r", "contrast_factor")
     rows = zip(t0.tolist(), *(cells[key].tolist() for key in header[1:]))
     _write_table(header, [_csv(rows)], output)
@@ -426,8 +427,7 @@ def _run_band(v: dict, output: str | None) -> int:
         "half-width",
     )
     band = BandSpec(center=omega, half_width=half_width, solid_angle=v["solid-angle"])
-    traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
-    _warn_relativistic(traj)
+    traj = _trajectory(v["ratio-RT"])
     t0 = _emission_time(v["t0-omega"], omega)
     # t0-resolved first, so a bad t0 fails before the leading-order warnings
     t0_exact = band_coherence_shift_exact(
@@ -450,10 +450,8 @@ def _run_band(v: dict, output: str | None) -> int:
 
 def _run_oracle(v: dict, output: str | None) -> int:
     omegas, squeezes, n_t0 = _GRIDS[v["grid"]]
-    traj = Trajectory(apex=v["ratio-RT"], half_time=1.0)
-    _warn_relativistic(traj)
+    traj = _trajectory(v["ratio-RT"])
     rows = []
-    worst = (-1.0, None)
     for omega in omegas:
         mode = _mode_from(omega, 1.0)
         for r in squeezes:
@@ -470,19 +468,16 @@ def _run_oracle(v: dict, output: str | None) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                rel_err = _rel_err(direct, closed)
-                rows.append((omega, r, t0, closed, direct, rel_err))
-                if rel_err > worst[0]:
-                    worst = (rel_err, (omega, r, t0))
+                rows.append((omega, r, t0, closed, direct, _rel_err(direct, closed)))
     _write_table(
         ("omega_bar_T", "r", "t0", "closed", "quadrature", "rel_err"),
         [_csv(rows)],
         output,
     )
-    rel_err, where = worst
+    omega, r, t0, _, _, rel_err = max(rows, key=lambda row: row[-1])
     print(
-        f"oracle: max relative error {rel_err!r} at omega_bar_T={where[0]!r} "
-        f"r={where[1]!r} t0={where[2]!r} over {len(rows)} points",
+        f"oracle: max relative error {rel_err!r} at omega_bar_T={omega!r} "
+        f"r={r!r} t0={t0!r} over {len(rows)} points",
         file=sys.stderr,
     )
     if rel_err > _ORACLE_TOL:
@@ -499,8 +494,8 @@ def _run_estimate(v: dict, output: str | None) -> int:
     cavity = CavityScenario.from_ratios(
         v["ratio-RT"], v["lambda3-over-V"], v["R-over-lambda"]
     )
-    _warn_relativistic(Trajectory(apex=v["ratio-RT"], half_time=1.0))
-    with warnings.catch_warnings():  # the same rule, said once, as everywhere
+    _trajectory(v["ratio-RT"])
+    with warnings.catch_warnings():  # the same rule, said once, by _trajectory
         warnings.filterwarnings("ignore", "ratio_rt = .* superluminal")
         empty = EmptySpaceScenario(
             ratio_rt=v["ratio-RT"],
@@ -538,8 +533,8 @@ def sweep(values: dict, output: str | None) -> int:
     the speed of ratio-RT, and a Trajectory is built only for the first
     relativistic value, for its warning.  Each column is then computed once
     at the shape of the axes it depends on (``single_mode._table``) and each
-    value formatted once.  The rows the scalar path refuses with RangeError are
-    range_error rows."""
+    value formatted once.  The range_error rows are r above the cap and the
+    cells ``_table`` marks ``refused``, which the scalar path refuses."""
     names = [name for name, _ in values["vary"]]
     if len(names) > _MAX_AXES:
         raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(names)}")
@@ -561,19 +556,13 @@ def sweep(values: dict, output: str | None) -> int:
     )
     fast = _max_speed(apex, 1.0) >= 1.0  # Trajectory(a, 1.0).is_relativistic
     if fast.any():
-        _warn_relativistic(Trajectory(apex.flat[np.argmax(fast)], 1.0))
+        _trajectory(apex.flat[np.argmax(fast)])
     volume = _each(_mode_volume, omega, ratio)
     with np.errstate(all="ignore"):
         t0 = t0_omega / omega
     capped = r > SQUEEZE_CAP
     cells = _table(np.where(capped, 0.0, r), theta, omega, volume, apex, t0)
-    # the rows the scalar path refuses with RangeError; w_r = shift * g is
-    # not finite wherever the envelope M in the shift or the phase in g is not
-    range_error = np.broadcast_to(
-        capped | ~(np.isfinite(volume) & (volume > 0.0))
-        | ~(np.isfinite(cells["w_r"]) & np.isfinite(cells["contrast_factor"])),
-        shape,
-    )
+    range_error = np.broadcast_to(capped | cells["refused"], shape)
     status = np.where(range_error, "range_error", np.where(r == 0, "degenerate", "ok"))
     fmt = np.frompyfunc(repr, 1, 1)  # each value once: along the first axis by block
     columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1])]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, _count_input
+from .errors import DomainError, RangeError, _count_input, _representable
 from .errors import _finite_input, _finite_result
 from .oracle_quadrature import integrate_oscillatory
 from .single_mode import _emission_phase, _mode_shift, _modulation, _per_mode
@@ -226,12 +226,12 @@ def mode_sum_oracle(
     allocation a call.  Memory is the 128 KiB step table, 512 KiB of turn
     tables and 640 KiB of workspace, whatever the mode count; ``MAX_MODES``
     bounds the time.
-    RangeError when the emission phase, the top mode's cell volume or the
-    sum leaves double precision.
+    RangeError when the cell width, the emission phase, the top mode's cell
+    volume or the sum leaves double precision.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
-    cell = 2.0 * band.half_width / n
+    cell = _representable(2.0 * band.half_width / n, "mode cell width")
     lo = band.edges[0]
     half_time = traj.half_time
     ends = [lo + (k + 0.5) * cell for k in (0, n - 1)]

@@ -247,9 +247,9 @@ def integrate_oscillatory(
     oscillation across [lo, hi]; it sizes the panels against the budget
     of nodes per period, with one period's budget at the least.  The node
     budget is then doubled, and disagreement beyond _REL_TOL and the
-    rounding floor raises ConvergenceError.  That floor counts the
-    rounding of f's own phase, which at x is about
-    eps * 2*pi*oscillations*|x|/(hi - lo) relative.
+    rounding floor raises ConvergenceError.  That floor counts the rounding
+    of f's own phase, about eps * 2*pi*oscillations*|x|/(hi - lo) relative
+    at x, and of terms below the least normal double, eps * tiny absolute.
     """
     width = _finite_input("integration interval length hi - lo", hi - lo, positive=True)
     phase_factor = 1.0 + 2.0 * math.pi * oscillations * max(abs(lo), abs(hi)) / width
@@ -257,7 +257,8 @@ def integrate_oscillatory(
     def evaluate(n: int) -> tuple[float, float]:
         x, w = _panel_nodes(lo, hi, oscillations, n)
         terms = w * f(x)
-        return float(np.sum(terms)), phase_factor * float(np.sum(np.abs(terms)))
+        size = np.sum(np.maximum(np.abs(terms), np.finfo(float).tiny))
+        return float(np.sum(terms)), phase_factor * float(size)
 
     return _refined(evaluate, "oscillatory integral")
 

@@ -30,8 +30,8 @@ recoherence by (8*pi*alpha/(3*V*omega))*M; adding the vacuum loss
 -(4*pi*alpha/(V*omega))*M keeps the total negative, so no emission
 strategy beats a fluctuation-free field.
 
-The public functions take one state, mode and trajectory; the private
-closed forms they share, and ``_table`` for a whole sweep, take arrays too.
+The public functions take one state, mode and trajectory; the private closed
+forms, and ``_table`` for a sweep and its range_error rows, take arrays too.
 """
 
 from __future__ import annotations
@@ -125,13 +125,8 @@ def _checked_envelope(omega, traj: Trajectory):
         s = j2_over_x(omega * traj.half_time)
         return _finite_result(_envelope(s, traj.apex), "mode envelope")
     with np.errstate(over="ignore"):
-        return _checked(_envelope(j2_over_x(omega * traj.half_time), traj.apex))
-
-
-def _checked(m):
-    """An array of M; RangeError once an M leaves double precision (M >= 0,
-    so the largest decides)."""
-    _finite_result(m.max(), "mode envelope")
+        m = _envelope(j2_over_x(omega * traj.half_time), traj.apex)
+    _finite_result(m.max(), "mode envelope")  # M >= 0: the largest decides
     return m
 
 
@@ -311,11 +306,13 @@ def unitarity_sum(mode: ModeSpec, traj: Trajectory) -> UnitaritySplit:
 
 
 def _table(r, theta, omega, volume, apex, t0) -> dict:
-    """The sweep's columns at arrays that broadcast (T = 1).
+    """The sweep's columns at arrays that broadcast (T = 1), and ``refused``.
 
     Each factor takes the shape of the inputs it depends on, and the bits of
-    the scalar functions above (kernels of r run per value, j2 as one array);
-    a cell they refuse with RangeError is left inf or nan."""
+    the scalar functions above (kernels of r run per value, j2 as one array).
+    ``refused`` marks the cells they refuse with RangeError: a volume not a
+    positive double, or a w_r = shift * g or contrast factor inf or nan (w_r
+    is not finite wherever the envelope M or the phase in g is not)."""
     with np.errstate(all="ignore"):
         envelope = _envelope(j2_over_x(omega), apex)
         shift = _per_mode(omega, volume, envelope)
@@ -323,10 +320,13 @@ def _table(r, theta, omega, volume, apex, t0) -> dict:
         g_avg = _each(windowed_phase_weight, r)
         w_r_max = _max_shift(omega, volume, envelope)
         w_r = shift * g
+        contrast_factor = _each(_contrast, w_r)
         return dict(
-            g=g, w_r=w_r, contrast_factor=_each(_contrast, w_r),
+            g=g, w_r=w_r, contrast_factor=contrast_factor,
             window_width=2.0 * _window_half_width(r, omega), g_avg=g_avg,
             w_r_avg=shift * g_avg, w_r_max=w_r_max, w_total=0.5 * shift + w_r_max,
+            refused=~(np.isfinite(volume) & (volume > 0.0) & np.isfinite(w_r)
+                      & np.isfinite(contrast_factor)),
         )
 
 

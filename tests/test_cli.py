@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from recoherence import (
     BandSpec,
@@ -708,3 +712,73 @@ def test_library_warnings_are_one_line(run_cli):
         "formula degrades\n"
     )
     assert first.stderr == second.stderr == want
+
+
+#: values at the edges of every numeric option's domain
+_EDGES = (
+    "0", "-0", "5e-324", "1e-300", "1e300", "1.8e308",
+    "nan", "inf", "-inf", "350", "350.0000001",
+)
+
+#: each subcommand at its defaults, with small sizes
+_FUZZ_BASES = (
+    ("single-mode", "--t0-grid=4"),
+    ("band", "--n-modes=64"),
+    ("oracle", "--grid=quick"),
+    ("estimate", "cavity"),
+    ("estimate", "empty-space"),
+    ("sweep",),
+)
+
+
+@pytest.fixture(scope="module")
+def default_headers():
+    """The first stdout line of each base, which exits 0."""
+    headers = {}
+    for base in _FUZZ_BASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(base)) == 0
+        headers[base] = out.getvalue().split("\n")[0]
+    return headers
+
+
+@st.composite
+def _edge_calls(draw):
+    """A base argv, up to three of its numeric options at edge values and,
+    for sweep, up to three --vary axes of one to three edge values."""
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    table = cli._OPTIONS[base[0]]
+    numeric = [key for key, (rule, _, _) in table.items() if rule.typ is not str]
+    argv = list(base)
+    for key in draw(st.lists(st.sampled_from(numeric), max_size=3, unique=True)):
+        # a count refuses every edge value but 350, which is above the sizes
+        values = [v for v in _EDGES if table[key][0].typ is float or v != "350"]
+        argv.append(f"--{key}={draw(st.sampled_from(values))}")
+    if base[0] == "sweep":
+        for name in draw(st.lists(st.sampled_from(numeric), max_size=3, unique=True)):
+            axis = draw(st.lists(st.sampled_from(_EDGES), min_size=1, max_size=3))
+            argv.append(f"--vary={name}={','.join(axis)}")
+    return base, argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_edge_calls())
+# a mode volume (2*pi/omega)^3 and an emission time t0-omega/omega that both
+# overflow: range_error rows, with no OverflowError and no numpy warning
+@example(call=(("sweep",), ["sweep", "--omega-bar-T=1e-300", "--t0-omega=1e300"]))
+def test_every_option_at_its_edges_keeps_the_cli_contracts(
+    run_cli, default_headers, call
+):
+    # exit 0, 1 or 2 with no exception out of main (a numpy RuntimeWarning is
+    # an error under pytest), no warning class or traceback on stderr, and
+    # stdout empty or a table under the subcommand's usual header
+    base, argv = call
+    proc = run_cli(*argv)
+    assert proc.returncode in (0, 1, 2), proc
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc
+    assert proc.stdout == "" or proc.stdout.startswith(default_headers[base] + "\n")

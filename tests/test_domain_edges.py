@@ -71,6 +71,9 @@ def _finite_or_refused(call) -> None:
 # an infinite mode shift times a zero modulation in the mode sum
 @example(**{**_CALM, "r": 0.0, "omega": math.exp(8.0), "apex": 1e300,
             "half_time": math.exp(161.0), "n": 1})
+# a band a few ulps wide: the width of each of its n mode cells rounds to 0
+@example(**{**_CALM, "r": 0.0, "omega": 1.53e-322, "apex": 5e-324,
+            "half_time": 5e-324, "n": 12})
 def test_shifts_are_finite_or_refused(r, theta, omega, volume, apex, half_time, t0, n):
     try:
         state, mode = SqueezeState(r, theta), ModeSpec(omega, volume)

@@ -487,3 +487,54 @@ def test_mode_sum_recoheres_at_most_the_paper_bound(r, theta, t0, center, ratio,
     bound = -phase_weight_min(r) * math.fsum(size)
     slack = -phase_weight_min(r) * 64 * EPS * math.fsum(size * (1.0 + omegas))
     assert got <= bound + slack, (got, bound, slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, SQUEEZE_CAP)),
+    theta=st.floats(-math.pi, math.pi),
+    t0=st.floats(-30.0, 30.0),
+    center=st.floats(0.1, 30.0),
+    ratio=st.floats(1e-3, 0.9),
+)
+# the whole band at the centre of the recoherence window (2*omega*t0 - theta
+# = -pi at every omega): the t0-resolved value is |g_min| * integral|shift|
+@example(r=2.0, theta=math.pi, t0=0.0, center=3.34, ratio=0.1)
+# a subnormal r: every term lies below the least normal double and rounds by
+# an absolute amount, which the refinement check counts
+@example(r=2.2250738585e-313, theta=0.0, t0=0.0, center=1.0, ratio=0.5)
+def test_band_recoheres_at_most_the_paper_bound(r, theta, t0, center, ratio):
+    # the shift is <= 0 at every omega and g >= g_min = -(1 - e^{-2r})/2, so
+    # the t0-resolved band is at most |g_min| * integral|shift|; the window
+    # average g_avg > -1/3 keeps the windowed band below a third of it, two
+    # thirds of the vacuum loss integral|shift|/2
+    state = SqueezeState(r, theta)
+    band = BandSpec(center=center, half_width=ratio * center, solid_angle=0.1)
+    traj = Trajectory(apex=0.1, half_time=1.0)
+    lo, hi = band.edges
+    quad = oracle_quadrature
+
+    def slack(span, scale):
+        # what integrate_oscillatory accepts at panels sized by this span:
+        # _REL_TOL of the value plus its rounding floor, _ROUNDING times the
+        # phase factor times the sum of max(|term|, tiny).  The bound is met
+        # only where the terms share one sign, so their sum is the bound
+        oscillations = 2.0 * band.half_width * span / math.pi
+        budget = 2 * quad._NODES_PER_PERIOD
+        nodes = quad._panel_nodes(lo, hi, oscillations, budget)[0].size
+        floor = (1.0 + 2.0 * span * hi) * (scale + nodes * np.finfo(float).tiny)
+        return quad._REL_TOL * scale + quad._ROUNDING * floor
+
+    size = quad.integrate_oscillatory(
+        lambda omega: -_mode_shift(omega, _cell_volume(0.1, omega, 1.0), traj),
+        lo,
+        hi,
+        2.0 * band.half_width / math.pi,  # the windowed band's panels
+    )
+    got = band_coherence_shift_exact(state, band, traj, window_averaged=False, t0=t0)
+    bound = -phase_weight_min(r) * size
+    tol = slack(1.0 + abs(t0), bound) + slack(1.0, bound)
+    assert got <= bound + tol, (got, bound, tol)
+    got = band_coherence_shift_exact(state, band, traj)
+    bound = size / 3.0
+    assert got <= bound + 2.0 * slack(1.0, bound), (got, bound)
