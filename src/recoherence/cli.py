@@ -21,7 +21,8 @@ All lengths and times are expressed with the trajectory half time T = 1,
 so frequencies arrive as omega*T, the apex as R/T, and emission times as
 t0*omega.  Every subcommand accepts --config PATH pointing at an INI file
 whose [<subcommand>] section supplies defaults; explicit flags win.  CSV
-goes to stdout or --output PATH, bytes identical from run to run.
+goes to stdout or --output PATH in blocks of rows, so no table is held as
+one string, and its bytes are identical from run to run.
 
 Exit codes: 0 success, 1 domain/config errors, 2 non-convergence (or an
 oracle grid out of tolerance).
@@ -172,7 +173,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
 
 _MAX_AXES = 3
 
-#: sweep rows formatted and written at a time
+#: most rows of any table formatted and written at a time
 _BLOCK_ROWS = 4096
 
 #: every sweep option is an axis and, in table order, an input column
@@ -308,30 +309,44 @@ def _parse(argv: list[str] | None) -> tuple[str, dict, str | None]:
     return args.command, values, args.output
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _write_table(header: tuple, columns, output: str | None, blank=None) -> None:
+    """The header line, then the rows of ``columns``, to stdout or ``output``.
 
+    The columns are scalars, or arrays with one number of axes that
+    broadcast to the table's shape.  Rows go out row-major, a number as its
+    repr and a string as it is, at most ``_BLOCK_ROWS`` at a time whatever
+    the shape: the blocks split the first axis whose trailing axes hold at
+    most a block.  Each value is formatted once: a column whose values recur
+    in more than one block (so it has at most half the table's rows) in
+    full, any other block by block.  ``blank`` = (rows, cols), a boolean
+    array of the table's shape and a slice, writes nan in those columns of
+    the marked rows after formatting, so shared values stay formatted once."""
+    columns = [np.atleast_1d(c) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    inner = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+    axis = next(k for k, n in enumerate(inner) if n <= _BLOCK_ROWS)
+    widths = (1,) * axis + (_BLOCK_ROWS // inner[axis],)
+    counts = [math.ceil(n / w) for n, w in zip(shape, widths)]  # blocks per axis
+    fmt = np.frompyfunc(repr, 1, 1)
 
-def _csv(rows) -> str:
-    return "".join(",".join(map(_format_cell, row)) + "\n" for row in rows)
+    def text(c):  # formatted, or strings already
+        return c if c.dtype.kind in "OU" else fmt(c)
 
+    def recurs(c):  # the same values of c are in more than one block
+        return any(n == 1 < m for n, m in zip(c.shape, counts))
 
-def _write_table(header: tuple, blocks, output: str | None) -> None:
-    """The header line, then each block of CSV lines, to stdout or ``output``."""
+    columns = [np.broadcast_to(text(c), shape) if recurs(c) else c for c in columns]
+    rows, cols = blank or (None, slice(0))
     with contextlib.nullcontext(sys.stdout) if output is None else open(
         output, "w", encoding="utf-8", newline=""
     ) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(blocks)
-
-
-def _write_row(row: dict, output: str | None) -> None:
-    """One-row table whose header is the keys of ``row``, in order."""
-    _write_table(tuple(row), [_csv([row.values()])], output)
+        for index in np.ndindex(*counts):
+            cut = tuple(slice(i * w, (i + 1) * w) for i, w in zip(index, widths))
+            strings = list(np.broadcast_arrays(*(text(c[cut]) for c in columns)))
+            strings[cols] = [np.where(rows[cut], "nan", s) for s in strings[cols]]
+            lines = zip(*(s.ravel().tolist() for s in strings))
+            fh.write("".join(",".join(line) + "\n" for line in lines))
 
 
 def _inputs(v: dict, *keys: str) -> dict:
@@ -400,8 +415,7 @@ def _run_single_mode(v: dict, output: str | None) -> int:
     if cells["refused"].any():  # the scalar path raises this row's RangeError
         coherence_shift(state, mode, traj, float(t0[cells["refused"].argmax()]))
     header = ("t0", "g", "w_r", "contrast_factor")
-    rows = zip(t0.tolist(), *(cells[key].tolist() for key in header[1:]))
-    _write_table(header, [_csv(rows)], output)
+    _write_table(header, [t0, *map(cells.get, header[1:])], output)
     window = emission_window(state, mode)
     split = unitarity_sum(mode, traj)
     print(
@@ -444,7 +458,7 @@ def _run_band(v: dict, output: str | None) -> int:
     row["t0_exact"] = t0_exact
     row["mode_sum"] = mode_sum
     row["mode_sum_rel_err"] = _rel_err(mode_sum, t0_exact)
-    _write_row(row, output)
+    _write_table(tuple(row), row.values(), output)
     return 0
 
 
@@ -469,11 +483,8 @@ def _run_oracle(v: dict, output: str | None) -> int:
                     )
                     return 2
                 rows.append((omega, r, t0, closed, direct, _rel_err(direct, closed)))
-    _write_table(
-        ("omega_bar_T", "r", "t0", "closed", "quadrature", "rel_err"),
-        [_csv(rows)],
-        output,
-    )
+    header = ("omega_bar_T", "r", "t0", "closed", "quadrature", "rel_err")
+    _write_table(header, zip(*rows), output)
     omega, r, t0, _, _, rel_err = max(rows, key=lambda row: row[-1])
     print(
         f"oracle: max relative error {rel_err!r} at omega_bar_T={omega!r} "
@@ -513,7 +524,7 @@ def _run_estimate(v: dict, output: str | None) -> int:
             v, "kind", "ratio-RT", "delta-omega-ratio", "solid-angle", "omega-bar-T"
         )
         row["estimate"] = empty_space_estimate(empty)
-    _write_row(row, output)
+    _write_table(tuple(row), row.values(), output)
     return 0
 
 
@@ -532,9 +543,10 @@ def sweep(values: dict, output: str | None) -> int:
     refused), and the first refused with DomainError ends the sweep; so is
     the speed of ratio-RT, and a Trajectory is built only for the first
     relativistic value, for its warning.  Each column is then computed once
-    at the shape of the axes it depends on (``single_mode._table``) and each
-    value formatted once.  The range_error rows are r above the cap and the
-    cells ``_table`` marks ``refused``, which the scalar path refuses."""
+    at the shape of the axes it depends on (``single_mode._table``) and
+    written by ``_write_table``, in blocks of rows; the range_error rows,
+    r above the cap and the cells ``_table`` marks ``refused`` (which the
+    scalar path refuses), get nan cells after formatting."""
     names = [name for name, _ in values["vary"]]
     if len(names) > _MAX_AXES:
         raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(names)}")
@@ -562,24 +574,10 @@ def sweep(values: dict, output: str | None) -> int:
         t0 = t0_omega / omega
     capped = r > SQUEEZE_CAP
     cells = _table(np.where(capped, 0.0, r), theta, omega, volume, apex, t0)
-    range_error = np.broadcast_to(capped | cells["refused"], shape)
-    status = np.where(range_error, "range_error", np.where(r == 0, "degenerate", "ok"))
-    fmt = np.frompyfunc(repr, 1, 1)  # each value once: along the first axis by block
-    columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1])]
-    columns = [c if c.shape[0] > 1 else fmt(c) for c in columns]
-    step = max(1, _BLOCK_ROWS * shape[0] // count)
-
-    def blocks():  # along the first axis, so the table is never held at once
-        for i in range(0, shape[0], step):
-            bad = range_error[i : i + step]
-            strings = [fmt(c[i : i + step]) if c.shape[0] > 1 else c for c in columns]
-            strings = [np.broadcast_to(s, bad.shape) for s in strings]
-            strings[6:] = [np.where(bad, "nan", c) for c in strings[6:]]
-            strings.append(status[i : i + step])
-            lines = zip(*(c.ravel().tolist() for c in strings))
-            yield "".join(",".join(line) + "\n" for line in lines)
-
-    _write_table(_SWEEP_HEADER, blocks(), output)
+    bad = np.broadcast_to(capped | cells["refused"], shape)
+    status = np.where(bad, "range_error", np.where(r == 0, "degenerate", "ok"))
+    columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1]), status]
+    _write_table(_SWEEP_HEADER, columns, output, blank=(bad, slice(6, -1)))
     return 0
 
 

@@ -227,7 +227,8 @@ def mode_sum_oracle(
     tables and 640 KiB of workspace, whatever the mode count; ``MAX_MODES``
     bounds the time.
     RangeError when the cell width, the emission phase, the top mode's cell
-    volume or the sum leaves double precision.
+    volume or the sum leaves double precision.  A finite emission phase past
+    2^53 rad keeps no fractional digits, so the value there is rounding noise.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)

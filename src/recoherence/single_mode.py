@@ -160,7 +160,8 @@ def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
 def _modulation(r, theta, omega, t0):
     """g at emission time t0 for scalars or arrays that broadcast.  A scalar
     phase outside double precision raises RangeError, an array one gives
-    nan."""
+    nan.  A finite phase past 2^53 rad keeps no fractional digits, so g
+    there is rounding noise."""
     phase = _emission_phase(theta, omega, t0)
     if isinstance(phase, float):
         _finite_result(phase, "emission phase")
