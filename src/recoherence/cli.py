@@ -182,6 +182,9 @@ _SWEEP_HEADER = tuple(key.replace("-", "_") for key in _OPTIONS["sweep"]) + (
     "g_avg", "w_r_avg", "w_r_max", "w_total", "status",
 )
 
+#: the sweep's status labels, indexed by 0 (ok), 1 (r = 0) or 2 (refused)
+_STATUS = np.array(["ok", "degenerate", "range_error"], dtype=object)
+
 
 class _Parser(argparse.ArgumentParser):
     # a usage error returns 1 through main(), not argparse's exit 2 (non-convergence)
@@ -367,11 +370,8 @@ def _trajectory(apex: float) -> Trajectory:
     """Trajectory(apex, T = 1), with one warning line when it is superluminal."""
     traj = Trajectory(apex, 1.0)
     if traj.is_relativistic:
-        print(
-            f"warning: trajectory peak speed {traj.max_speed:.6g} exceeds 1 "
-            "(units with c = 1); results are formal",
-            file=sys.stderr,
-        )
+        _show_warning(f"trajectory peak speed {traj.max_speed:.6g} exceeds 1 "
+                      "(units with c = 1); results are formal")
     return traj
 
 
@@ -423,6 +423,9 @@ def _run_single_mode(v: dict, output: str | None) -> int:
         f"width={window.width!r} degenerate={window.degenerate}",
         file=sys.stderr,
     )
+    if window.start == window.end and window.width > 0.0:
+        _show_warning(f"emission window width {window.width!r} is below the "
+                      "resolution of t0 at its centre: start and end are one double")
     print(
         f"windowed shift={windowed_coherence_shift(state, mode, traj)!r} "
         f"bound={split.max_shift!r} "
@@ -575,7 +578,7 @@ def sweep(values: dict, output: str | None) -> int:
     capped = r > SQUEEZE_CAP
     cells = _table(np.where(capped, 0.0, r), theta, omega, volume, apex, t0)
     bad = np.broadcast_to(capped | cells["refused"], shape)
-    status = np.where(bad, "range_error", np.where(r == 0, "degenerate", "ok"))
+    status = _STATUS[np.where(bad, 2, r == 0)]
     columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1]), status]
     _write_table(_SWEEP_HEADER, columns, output, blank=(bad, slice(6, -1)))
     return 0

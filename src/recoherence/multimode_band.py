@@ -30,11 +30,11 @@ import numpy as np
 from .errors import DomainError, RangeError, _count_input, _representable
 from .errors import _finite_input, _finite_result
 from .oracle_quadrature import integrate_oscillatory
-from .single_mode import _emission_phase, _mode_shift, _modulation, _per_mode
+from .single_mode import _emission_phase, _mode_shift, _per_mode
 from .squeezed_state import SqueezeState
 from .trajectory import Trajectory
-from ._special import _J2_SERIES_CUT, _j2_series_into
-from ._special import _j2_squared_over_x, _phase_weight_terms, windowed_phase_weight
+from ._special import _J2_SERIES_CUT, _j2_series_into, _j2_squared_over_x
+from ._special import _phase_weight_terms, phase_weight, windowed_phase_weight
 
 #: fractional size above which "narrow" assumptions are flagged
 _NARROW = 0.3
@@ -130,17 +130,21 @@ def band_coherence_shift_exact(
     With ``window_averaged`` the squeeze modulation is replaced by its
     window average (a constant over the band); otherwise the pointwise
     modulation at emission time ``t0`` is kept inside the integrand, each
-    frequency contributing at its own phase 2*omega*t0 - theta.
+    frequency contributing at its own phase 2*omega*t0 - theta; RangeError
+    when that phase exceeds 2^32 rad at a band edge.
     """
     t0 = _finite_input("emission time", t0)
     g_avg = windowed_phase_weight(state.r)
+    # |2*omega*t0 - theta| is convex in omega: the band edges bound it
+    for omega in () if window_averaged else band.edges:
+        _emission_phase(state.theta, omega, t0)
 
     def integrand(omega: np.ndarray) -> np.ndarray:
         # the modes per unit frequency at omega fill a cell of width 1
         shift = _mode_shift(omega, _cell_volume(band.solid_angle, omega, 1.0), traj)
         if window_averaged:
             return g_avg * shift
-        return _modulation(state.r, state.theta, omega, t0) * shift
+        return phase_weight(state.r, _emission_phase(state.theta, omega, t0)) * shift
 
     span = traj.half_time if window_averaged else traj.half_time + abs(t0)
     lo, hi = band.edges
@@ -226,9 +230,9 @@ def mode_sum_oracle(
     allocation a call.  Memory is the 128 KiB step table, 512 KiB of turn
     tables and 640 KiB of workspace, whatever the mode count; ``MAX_MODES``
     bounds the time.
-    RangeError when the cell width, the emission phase, the top mode's cell
-    volume or the sum leaves double precision.  A finite emission phase past
-    2^53 rad keeps no fractional digits, so the value there is rounding noise.
+    RangeError when the cell width, the top mode's cell volume or the sum
+    leaves double precision, or when an end mode's emission phase exceeds
+    2^32 rad.
     """
     n = _count_input("n_modes", n_modes, 1, MAX_MODES)
     t0 = _finite_input("emission time", t0)
@@ -236,12 +240,12 @@ def mode_sum_oracle(
     lo = band.edges[0]
     half_time = traj.half_time
     ends = [lo + (k + 0.5) * cell for k in (0, n - 1)]
-    # 2*omega*t0 - theta is monotone in omega: finite at the end modes,
-    # finite at every mode
-    for omega in ends:
-        _finite_result(_emission_phase(state.theta, omega, t0), "emission phase")
     # V falls with omega: the top mode's is the smallest
     _cell_volume(band.solid_angle, ends[1], cell)
+    # |2*omega*t0 - theta| is convex in omega: within its bound at the end
+    # modes, within it at every mode
+    for omega in ends:
+        _emission_phase(state.theta, omega, t0)
     coupling = _per_mode(1.0, _cell_volume(band.solid_angle, 1.0, cell), 1.0)
     amplitude = 16.0 * traj.apex  # M = (amplitude * s)^2, as _envelope forms it
     low, swing = _phase_weight_terms(state.r)

@@ -173,11 +173,6 @@ def _shift_form(state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float
     return _loop_form(-state.mu * state.nu, eta * eta, mode, traj, t0)
 
 
-def _vacuum_form(mode: ModeSpec, traj: Trajectory):
-    """_loop_form of the vacuum kernel K_0."""
-    return _loop_form(0.0, 0.5, mode, traj, 0.0)
-
-
 def quad_coherence_shift(
     state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> float:
@@ -204,7 +199,7 @@ def quad_vacuum_term(mode: ModeSpec, traj: Trajectory) -> float:
     The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    return _refined(_vacuum_form(mode, traj), "vacuum-term quadrature")
+    return _refined(_loop_form(0.0, 0.5, mode, traj, 0.0), "vacuum-term quadrature")
 
 
 def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import FINE_STRUCTURE
-from .errors import _finite_input, _finite_result
+from .errors import RangeError, _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
 from ._special import (
@@ -59,6 +59,10 @@ from ._special import (
 
 #: largest argument of math.exp whose value is finite
 _LOG_MAX = math.log(sys.float_info.max)
+
+#: largest |2*omega*t0 - theta| accepted, in rad: its rounding, ulp(phase),
+#: is at most 2^-20 rad there, so g is good to about 1e-6 of its swing
+_PHASE_MAX = 2.0**32
 
 
 @dataclass(frozen=True)
@@ -151,26 +155,23 @@ def modulation(state: SqueezeState, mode: ModeSpec, t0: float) -> float:
 
     Ranges over [modulation_min, modulation_max] as t0 varies; negative
     values mark emission times at which the mode *restores* contrast.
-    RangeError when the emission phase leaves double precision.
+    RangeError when |2*omega*t0 - theta| exceeds 2^32 rad.
     """
     t0 = _finite_input("emission time", t0)
-    return _modulation(state.r, state.theta, mode.omega, t0)
-
-
-def _modulation(r, theta, omega, t0):
-    """g at emission time t0 for scalars or arrays that broadcast.  A scalar
-    phase outside double precision raises RangeError, an array one gives
-    nan.  A finite phase past 2^53 rad keeps no fractional digits, so g
-    there is rounding noise."""
-    phase = _emission_phase(theta, omega, t0)
-    if isinstance(phase, float):
-        _finite_result(phase, "emission phase")
-    return phase_weight(r, phase)
+    return phase_weight(state.r, _emission_phase(state.theta, mode.omega, t0))
 
 
 def _emission_phase(theta, omega, t0):
-    """2*omega*t0 - theta, scalars or arrays: the one place it is written."""
-    return 2.0 * omega * t0 - theta
+    """2*omega*t0 - theta, scalars or arrays: the one place it is formed and
+    checked.  A |phase| above ``_PHASE_MAX`` or outside double precision is
+    refused: a scalar raises RangeError, an array gives nan there."""
+    phase = 2.0 * omega * t0 - theta
+    if not isinstance(phase, float):
+        phase[np.abs(phase) > _PHASE_MAX] = np.nan  # nan stays nan
+    elif not abs(phase) <= _PHASE_MAX:
+        _finite_result(phase, "emission phase")
+        raise RangeError(f"emission phase {phase!r} rad is above its bound 2**32 rad")
+    return phase
 
 
 def modulation_min(state: SqueezeState) -> float:
@@ -193,14 +194,9 @@ def coherence_shift(
     Returns the shift together with its contrast factor e^{W_R}; the shift
     is positive (recoherence) exactly when the modulation is negative.
     """
-    value = _finite_result(
-        _mode_shift(mode.omega, mode.volume, traj) * modulation(state, mode, t0),
-        "coherence shift",
-    )
-    return CoherenceResult(
-        value=value,
-        contrast_factor=_finite_result(_contrast(value), "contrast factor"),
-    )
+    shift = _mode_shift(mode.omega, mode.volume, traj) * modulation(state, mode, t0)
+    value = _finite_result(shift, "coherence shift")
+    return CoherenceResult(value, _finite_result(_contrast(value), "contrast factor"))
 
 
 def _contrast(value: float) -> float:
@@ -317,7 +313,7 @@ def _table(r, theta, omega, volume, apex, t0) -> dict:
     with np.errstate(all="ignore"):
         envelope = _envelope(j2_over_x(omega), apex)
         shift = _per_mode(omega, volume, envelope)
-        g = _modulation(r, theta, omega, t0)
+        g = phase_weight(r, _emission_phase(theta, omega, t0))
         g_avg = _each(windowed_phase_weight, r)
         w_r_max = _max_shift(omega, volume, envelope)
         w_r = shift * g

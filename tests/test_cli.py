@@ -410,6 +410,26 @@ def test_relativistic_warning_on_stderr(run_cli):
     assert "exceeds 1" in proc.stderr
 
 
+def test_window_below_the_resolution_of_t0_is_one_warning_line(run_cli):
+    # from r = 37 on at omega*T = 1, theta = 0 the window's ends are one
+    # double; the summary lines keep their form and the table its rows
+    argv = ["single-mode", "--omega-bar-T", "1", "--t0-grid", "4"]
+    resolved = run_cli(*argv, "--r", "36")
+    assert resolved.returncode == 0 and "warning" not in resolved.stderr
+    proc = run_cli(*argv, "--r", "40")
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 5
+    lines = proc.stderr.splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["window:", "warning:", "windowed"]
+    start, end, width = re.match(
+        r"window: start=(\S+) end=(\S+) width=(\S+) degenerate=False$", lines[0]
+    ).groups()
+    assert start == end and float(width) > 0.0
+    assert lines[1] == (
+        f"warning: emission window width {width} is below the resolution of t0 "
+        "at its centre: start and end are one double"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

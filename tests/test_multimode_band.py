@@ -24,12 +24,13 @@ from recoherence import (
     coherence_shift,
     mode_sum_oracle,
     modulation_max,
+    modulation_min,
 )
 from recoherence import multimode_band, oracle_quadrature
-from recoherence._special import _j2_squared_over_x, phase_weight_min
+from recoherence._special import _j2_squared_over_x, phase_weight, phase_weight_min
 from recoherence.constants import FINE_STRUCTURE
 from recoherence.multimode_band import MAX_MODES, _MODE_BLOCK, _cell_volume, _turns
-from recoherence.single_mode import _mode_shift, _modulation
+from recoherence.single_mode import _emission_phase, _mode_shift
 
 # Frozen from a 30-digit mpmath evaluation of the continuum band integral
 # at r = 1, theta = 0, center = 3.34, half_width = 0.334, solid angle 0.1,
@@ -179,11 +180,18 @@ def test_band_validation():
     # a half-width below the centre's resolution: the edges round to it
     with pytest.raises(RangeError, match="rounds to the center"):
         BandSpec(center=3.34, half_width=3.34e-300, solid_angle=0.1)
+    # at a power of two only the upper edge rounds to the centre (a tie to
+    # even), where the doubles are twice as far apart as below it
+    with pytest.raises(RangeError, match="rounds to the center"):
+        BandSpec(center=4.0, half_width=2.0**-51, solid_angle=0.1)
 
 
 def test_wide_solid_angle_warns():
     with pytest.warns(UserWarning):
         BandSpec(center=1.0, half_width=0.1, solid_angle=4.0)
+    with warnings.catch_warnings():  # up to 0.4*pi sr the beam is narrow
+        warnings.simplefilter("error")
+        BandSpec(center=1.0, half_width=0.1, solid_angle=1.2)
 
 
 def test_mode_sum_validation():
@@ -228,7 +236,7 @@ def _per_mode_terms(state, band, traj, n, t0):
     cell = 2.0 * band.half_width / n
     omegas = band.edges[0] + (np.arange(n) + 0.5) * cell
     shifts = _mode_shift(omegas, _cell_volume(band.solid_angle, omegas, cell), traj)
-    return omegas, shifts, _modulation(state.r, state.theta, omegas, t0)
+    return omegas, shifts, phase_weight(state.r, _emission_phase(state.theta, omegas, t0))
 
 
 def _mp_mode_sum(state, band, traj, n, t0):
@@ -309,6 +317,67 @@ def test_emission_phase_overflow_is_named(t0):
     state, band, traj = _setup()
     with pytest.raises(RangeError, match="emission phase overflows"):
         mode_sum_oracle(state, band, traj, 16, t0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.one_of(st.floats(0.01, 3.0), st.floats(0.01, 20.0)),
+    theta=st.floats(-math.pi, math.pi),
+    center=st.floats(0.1, 100.0),
+    # t0 log-uniform up to 1e300, and often near the bound 2^32 rad
+    exponent=st.one_of(st.floats(-3.0, 300.0), st.floats(6.0, 11.0)),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(r=1.0, theta=0.0, center=1.0, exponent=math.log10(2.0**31), sign=1.0)
+@example(r=1.0, theta=-0.5, center=1.0, exponent=math.log10(2.0**31), sign=1.0)
+@example(r=20.0, theta=1.0, center=3.34, exponent=300.0, sign=-1.0)
+def test_mode_sum_and_single_mode_share_the_phase_bound(r, theta, center, exponent, sign):
+    # one cell is the single mode at its midpoint in the matched volume, at
+    # the same emission phase 2*omega*t0 - theta.  Above 2^32 rad both routes
+    # refuse it, and so does the t0-resolved band integral.  Below, both stay
+    # within 1e-6 of g's swing sinh(2r) of the value at the exact phase of
+    # the double inputs (50-digit mpmath), the resolution the bound promises:
+    # ulp(phase) <= 2^-20 rad
+    t0 = sign * 10.0**exponent
+    state = SqueezeState(r, theta)
+    band = BandSpec(center=center, half_width=0.1 * center, solid_angle=0.1)
+    traj = Trajectory(apex=0.1, half_time=1.0)
+    cell = 2.0 * band.half_width
+    omega = band.edges[0] + 0.5 * cell
+    mode = ModeSpec(omega=omega, volume=_cell_volume(band.solid_angle, omega, cell))
+    with mpmath.workdps(50):
+        phase = 2 * mpmath.mpf(omega) * mpmath.mpf(t0) - mpmath.mpf(theta)
+        if abs(phase) > 2**32:
+            for route in (
+                lambda: mode_sum_oracle(state, band, traj, 1, t0),
+                lambda: coherence_shift(state, mode, traj, t0),
+                # its upper edge's phase is larger still
+                lambda: band_coherence_shift_exact(
+                    state, band, traj, window_averaged=False, t0=t0
+                ),
+            ):
+                with pytest.raises(RangeError, match="emission phase"):
+                    route()
+            return
+        g = mpmath.sinh(r) * (mpmath.cosh(r) * mpmath.cos(phase) + mpmath.sinh(r))
+        shift = _mode_shift(omega, mode.volume, traj)
+        want = float(shift * g)
+    tol = 1e-6 * abs(shift) * (modulation_max(state) - modulation_min(state))
+    assert abs(mode_sum_oracle(state, band, traj, 1, t0) - want) <= tol
+    assert abs(coherence_shift(state, mode, traj, t0).value - want) <= tol
+
+
+def test_mode_sum_checks_the_phase_bound_at_its_top_mode():
+    # modes at 0.925, 0.975, 1.025 and 1.075: at this t0 only the top mode's
+    # phase 2*omega*t0 is above 2^32 rad, so checking the block's first mode
+    # or any mode but the last is not enough
+    state, traj = SqueezeState(1.0), Trajectory(apex=0.1, half_time=1.0)
+    band = BandSpec(center=1.0, half_width=0.1, solid_angle=0.1)
+    t0 = 2.0**31 / 1.05
+    assert 2.0 * 1.025 * t0 < 2.0**32 < 2.0 * 1.075 * t0
+    with pytest.raises(RangeError, match="above its bound"):
+        mode_sum_oracle(state, band, traj, 4, t0)
+    assert math.isfinite(mode_sum_oracle(state, band, traj, 1, t0))  # at 1.0
 
 
 def test_mode_sum_memory_is_one_array_and_a_block():

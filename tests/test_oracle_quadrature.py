@@ -24,9 +24,9 @@ from recoherence import oracle_quadrature
 from recoherence.oracle_quadrature import (
     _MAX_NODES,
     _NODES_PER_PERIOD,
+    _loop_form,
     _panel_nodes,
     _refined,
-    _vacuum_form,
 )
 
 # frozen from 30-digit mpmath quadrature of the vacuum loop integral at
@@ -100,7 +100,7 @@ def test_quadrature_matches_closed_form(omega, r, theta, t0):
     # for node at the base budget
     line = quad_coherence_shift_separable(state, mode, traj, t0)
     assert math.isclose(line, _tensor_shift(state, mode, traj, t0), rel_tol=1e-12)
-    vacuum, _ = _vacuum_form(mode, traj)(_NODES_PER_PERIOD)
+    vacuum, _ = _loop_form(0.0, 0.5, mode, traj, 0.0)(_NODES_PER_PERIOD)
     assert math.isclose(vacuum, _tensor_vacuum(mode, traj), rel_tol=1e-12)
 
 

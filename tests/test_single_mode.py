@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from recoherence import (
@@ -20,6 +21,7 @@ from recoherence import (
     windowed_coherence_shift,
     windowed_modulation,
 )
+from recoherence.single_mode import _emission_phase
 
 # Reference values frozen from an independent 50-digit mpmath evaluation
 # of the closed forms (hyperbolics, arctan window average, spherical
@@ -186,6 +188,38 @@ def test_emission_window_offset_moves_the_centre():
     base = emission_window(SqueezeState(1.0), unit)
     assert math.isclose(shifted.width, base.width, rel_tol=1e-14)
     assert math.isclose(shifted.start - base.start, 0.35, rel_tol=1e-12)
+
+
+def test_emission_window_below_the_resolution_of_t0():
+    # the width 2*arccos(tanh r)/(2*omega) ~ 2e^{-r}/omega keeps its bits,
+    # but from r = 37 on (omega = 1, theta = 0) both ends round to the
+    # centre's double, so no double t0 selects the window
+    unit = ModeSpec(omega=1.0, volume=1.0)
+    resolved = emission_window(SqueezeState(36.0), unit)
+    assert resolved.start < resolved.end
+    for r in (37.0, 40.0):
+        window = emission_window(SqueezeState(r), unit)
+        assert window.start == window.end and window.width > 0.0, r
+    assert emission_window(SqueezeState(40.0), unit).width < 1e-16
+
+
+def test_emission_phase_bound():
+    # |2*omega*t0 - theta| up to 2^32 rad is accepted and anything above it
+    # refused: a scalar with RangeError, an array cell as nan
+    state, unit = SqueezeState(1.0), ModeSpec(omega=1.0, volume=1.0)
+    edge = 2.0**31  # phase 2^32 exactly
+    above = math.nextafter(edge, math.inf)
+    assert math.isfinite(modulation(state, unit, edge))
+    assert math.isfinite(modulation(SqueezeState(1.0, -1.0), unit, edge - 0.5))
+    for t0, theta in ((above, 0.0), (-above, 0.0), (edge, -1.0), (1e300, 0.0)):
+        with pytest.raises(RangeError, match=r"emission phase .* above its bound 2\*\*32"):
+            modulation(SqueezeState(1.0, theta), unit, t0)
+    with pytest.raises(RangeError, match="emission phase overflows double precision"):
+        modulation(state, unit, 1e308)
+    with np.errstate(over="ignore"):  # as in its array callers
+        phases = _emission_phase(0.0, 1.0, np.array([edge, above, -above, 1e308, 0.25]))
+    assert phases[0] == 2.0**32 and phases[-1] == 0.5
+    assert np.isnan(phases[1:4]).all()
 
 
 def test_windowed_shift_positive_and_bounded():

@@ -134,6 +134,9 @@ def test_j2_over_x_array_edges():
     three = j2_over_x(np.array([3.0]))[0]
     assert j2_over_x(np.array([math.inf, -math.inf])).tolist() == [0.0, 0.0]
     assert j2_over_x(np.array([3.0, -math.inf])).tolist() == [three, 0.0]
+    # an infinity at the far end of a one-signed array too
+    assert j2_over_x(np.array([3.0, math.inf])).tolist() == [three, 0.0]
+    assert j2_over_x(np.array([-math.inf, -3.0])).tolist() == [0.0, -three]
     with_nan = j2_over_x(np.array([math.nan, 3.0]))
     assert math.isnan(with_nan[0]) and with_nan[1] == three
     assert j2_over_x(np.array([])).shape == (0,)

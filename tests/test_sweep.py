@@ -94,18 +94,20 @@ def test_each_value_is_formatted_once_at_any_block_size(rows, monkeypatch):
     assert _run(_GOLDEN_ARGV)[0] == 0 and len(formatted) == once
 
 
-# 50,000 rows each, the sweep's first axis of one value.  Under tracemalloc
-# they peak at 4.5 MB and 8.2 MB; a writer that joins the table into one
-# string peaks at 17.4 MB on the first, and one that formats whole columns
-# when the first axis is short at 52.6 MB on the second.
+# 50,000 rows each.  Under tracemalloc they peak at 4.6, 6.4 and 8.2 MB;
+# a writer that joins the table into one string peaks at 17.4 MB on the
+# first, one that formats whole columns when the first axis is short at
+# 52.6 MB on the second, and a status column of <U11 strings at 10.2 MB on
+# the third, a one-axis sweep.
 @pytest.mark.parametrize(
     "argv, peak_mb",
     [
         (["single-mode", "--t0-grid", "50000"], 10.0),
         (["sweep", "--vary", "r=1", "--vary", "t0-omega=0:3:50",
           "--vary", "omega-bar-T=0.5:4:1000"], 20.0),
+        (["sweep", "--vary", "t0-omega=0:3:50000"], 9.2),
     ],
-    ids=["single-mode", "sweep"],
+    ids=["single-mode", "sweep", "sweep-one-axis"],
 )
 def test_tables_are_written_in_bounded_memory(argv, peak_mb, tmp_path):
     tracemalloc.start()
@@ -232,6 +234,9 @@ _DEFAULTS = {key: default for key, (_, default, _) in cli._OPTIONS["sweep"].item
 @example(({**_DEFAULTS, "ratio-RT": 1e160, "t0-omega": math.nan}, []))
 @example(({**_DEFAULTS, "ratio-RT": 1e160}, [("t0-omega", [0.0, math.nan])]))
 @example((_DEFAULTS, [("t0-omega", [0.0, 1e308])]))
+# phases 2*omega*t0 - theta at both sides of the bound 2^32 rad
+@example(({**_DEFAULTS, "omega-bar-T": 1.0}, [("t0-omega", [2.0**31, 2.0**31 + 1e-6])]))
+@example((_DEFAULTS, [("t0-omega", [-2.0**31, 2.0**31, 2.0**32])]))
 @example(({**_DEFAULTS, "ratio-RT": -1.0}, [("r", [351.0, 1.0])]))
 @example((_DEFAULTS, [("ratio-RT", [0.8, -1.0])]))
 @example((_DEFAULTS, [("ratio-RT", [-1.0, 0.8])]))
@@ -243,3 +248,14 @@ def test_array_sweep_equals_scalar_rows(sweep):
     for name, axis in axes:
         argv += ["--vary", f"{name}={','.join(map(repr, axis))}"]
     assert _run(argv) == _scalar_sweep(values, axes)
+
+
+def test_emission_phase_above_its_bound_is_a_range_error_row():
+    # |2*omega*t0 - theta| up to 2^32 rad gives an ok row, and above it a
+    # range_error row with nan cells
+    code, out, err = _run(["sweep", "--omega-bar-T", "1", "--vary",
+                           f"t0-omega=0.5,{2.0**31!r},{2.0**31 + 1e-6!r},1e300"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "ok", "range_error", "range_error"]
+    assert rows[2][6:-1] == ["nan"] * 8 and "nan" not in rows[1]
