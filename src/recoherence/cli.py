@@ -192,6 +192,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _at_first(values: np.ndarray, marked, call: Callable) -> None:
+    """call(value) at the first of ``values`` that ``marked`` marks: the
+    scalar call that refuses, or warns about, that value."""
+    if np.any(marked):
+        call(values.flat[np.argmax(marked)])
+
+
 def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
     """argparse type of --vary: NAME=v1,v2,... or NAME=START:STOP:COUNT,
     every value through NAME's own rule (a range's as one array)."""
@@ -217,9 +224,8 @@ def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
             values = np.linspace(start, stop, count)
         if not np.isfinite(values).all():
             raise ArgumentTypeError(f"{name}={rest} spans more than double precision")
-    ok = rule.ok(values)
-    if not np.all(ok):  # the first value refused, with its message
-        _convert(name, rule, values[np.argmin(ok)])
+    refused = np.logical_not(rule.ok(values))  # the first, with its message
+    _at_first(values, refused, functools.partial(_convert, name, rule))
     return name, tuple(values.tolist())
 
 
@@ -412,8 +418,8 @@ def _run_single_mode(v: dict, output: str | None) -> int:
     n = v["t0-grid"]
     t0 = np.arange(n) * (math.pi / mode.omega) / n
     cells = _table(state.r, state.theta, mode.omega, mode.volume, traj.apex, t0)
-    if cells["refused"].any():  # the scalar path raises this row's RangeError
-        coherence_shift(state, mode, traj, float(t0[cells["refused"].argmax()]))
+    # the scalar path raises the first refused row's RangeError
+    _at_first(t0, cells["refused"], lambda t: coherence_shift(state, mode, traj, t))
     header = ("t0", "g", "w_r", "contrast_factor")
     _write_table(header, [t0, *map(cells.get, header[1:])], output)
     window = emission_window(state, mode)
@@ -531,13 +537,6 @@ def _run_estimate(v: dict, output: str | None) -> int:
     return 0
 
 
-def _refuse_first(values: np.ndarray, ok: np.ndarray, check: Callable) -> None:
-    """check(value) at the first of ``values`` that ``ok`` marks False: the
-    scalar check, which raises that value's DomainError."""
-    if not ok.all():
-        check(values.flat[np.argmin(ok)])
-
-
 def sweep(values: dict, output: str | None) -> int:
     """Cartesian sweep over the ``vary`` axes, row-major in axis order.
 
@@ -563,15 +562,13 @@ def sweep(values: dict, output: str | None) -> int:
     inputs.update(zip(names, np.ix_(*(axis for _, axis in values["vary"]))))
     r, theta, omega, apex, ratio, t0_omega = inputs.values()
     # in table order; r above the cap gives range_error rows, not an error
-    _refuse_first(r, np.isfinite(r) & (r >= 0.0), SqueezeState)
-    _refuse_first(theta, np.isfinite(theta), lambda value: SqueezeState(0.0, value))
-    _refuse_first(apex, np.isfinite(apex) & (apex > 0.0), lambda a: Trajectory(a, 1.0))
-    _refuse_first(
-        t0_omega, np.isfinite(t0_omega), lambda v: _finite_input("emission time", v)
-    )
-    fast = _max_speed(apex, 1.0) >= 1.0  # Trajectory(a, 1.0).is_relativistic
-    if fast.any():
-        _trajectory(apex.flat[np.argmax(fast)])
+    _at_first(r, ~(np.isfinite(r) & (r >= 0.0)), SqueezeState)
+    _at_first(theta, ~np.isfinite(theta), lambda value: SqueezeState(0.0, value))
+    _at_first(apex, ~(np.isfinite(apex) & (apex > 0.0)), lambda a: Trajectory(a, 1.0))
+    emission_time = functools.partial(_finite_input, "emission time")
+    _at_first(t0_omega, ~np.isfinite(t0_omega), emission_time)
+    # Trajectory(a, 1.0).is_relativistic: the first such value's warning
+    _at_first(apex, _max_speed(apex, 1.0) >= 1.0, _trajectory)
     volume = _each(_mode_volume, omega, ratio)
     with np.errstate(all="ignore"):
         t0 = t0_omega / omega

@@ -139,17 +139,23 @@ def band_coherence_shift_exact(
     for omega in () if window_averaged else band.edges:
         _emission_phase(state.theta, omega, t0)
 
-    def integrand(omega: np.ndarray) -> np.ndarray:
-        # the modes per unit frequency at omega fill a cell of width 1
-        shift = _mode_shift(omega, _cell_volume(band.solid_angle, omega, 1.0), traj)
+    lo, hi = band.edges
+    # integrated over u = omega/unit, unit a power of two at most the band
+    # width: the integrand, a shift per unit of u, is then on the value's
+    # scale, and each term w*f has the bits of the integral over omega
+    unit = math.ldexp(0.5, math.frexp(hi - lo)[1])
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        # the modes per unit of u at omega fill a cell of width unit
+        omega = u * unit
+        shift = _mode_shift(omega, _cell_volume(band.solid_angle, omega, unit), traj)
         if window_averaged:
             return g_avg * shift
         return phase_weight(state.r, _emission_phase(state.theta, omega, t0)) * shift
 
     span = traj.half_time if window_averaged else traj.half_time + abs(t0)
-    lo, hi = band.edges
     oscillations = 2.0 * band.half_width * span / math.pi
-    return integrate_oscillatory(integrand, lo, hi, oscillations)
+    return integrate_oscillatory(integrand, lo / unit, hi / unit, oscillations)
 
 
 def band_coherence_shift_leading(
@@ -207,8 +213,11 @@ def mode_sum_oracle(
     of a unit-frequency mode with M = 1 in one cell.  Its phase weight is
     g_min + sinh(2r) * c_k^2 with c_k = cos(phase_k/2), the rearrangement of
     ``_special.phase_weight``.  So the value is
-    coupling * (g_min * sum(a) + sinh(2r) * sum(a * c^2)) * A * A, multiplied
-    in that order, so that it overflows only when the value does.
+    coupling * (g_min * sum(a) + sinh(2r) * sum(a * c^2)) * A * A, formed
+    as -(g_min * (sum(a) * S * A) + sinh(2r) * (sum(a * c^2) * S * A)) with
+    S = -coupling * A > 0: each sum is scaled to a shift at unit phase
+    weight before it is weighted, so no partial product leaves double
+    precision unless that shift does.
 
     Modes are evaluated in blocks of ``_MODE_BLOCK``, one after another in
     the calling thread.  No mode takes a sine or cosine of its own: the
@@ -295,7 +304,9 @@ def mode_sum_oracle(
             np.multiply(z.real, z.real, out=x)
             x *= a
             sum_ac2 += np.sum(x)
-        value = coupling * (low * sum_a + swing * sum_ac2) * amplitude * amplitude
+        scale = -coupling * amplitude  # coupling < 0 < amplitude
+        value = -(low * (sum_a * scale * amplitude)
+                  + swing * (sum_ac2 * scale * amplitude))
         return _finite_result(float(value), "mode sum")
 
 

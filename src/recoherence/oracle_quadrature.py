@@ -17,9 +17,11 @@ Both are sums of products of e^{-i*omega*t} and its conjugate (rank at
 most 4), so the double integral factorises through one complex line
 integral L = sum over legs of sign * int v_leg e^{-i*omega*(t+t0)} dt,
 arm C1 with orientation +1 and velocity +v, arm C2 with -1 and -v.  With
-Lb = conj(L) and s = -mu*nu either term is (s*L^2 + conj(s)*Lb^2
-+ eta^2*(L*Lb + Lb*L)) / (V*omega), with s = 0, eta^2 = 1/2 and t0 = 0
-for the vacuum: time and memory are linear in the node count.
+Lb = conj(L), L' = sqrt(pi*alpha/(V*omega)) * L and s = -mu*nu either W is
+-(s*L'^2 + conj(s)*Lb'^2 + eta^2*(L'*Lb' + Lb'*L')), with s = 0,
+eta^2 = 1/2 and t0 = 0 for the vacuum, and the envelope is |L|^2/4: one
+quadratic form of L (_loop_form), linear in the node count in time and
+memory.
 
 Integrals use one fixed rule: composite Gauss-Legendre panels of _ORDER
 nodes, sized by a budget of _NODES_PER_PERIOD nodes per oscillation
@@ -142,35 +144,45 @@ def _loop_line(
 
 
 def _loop_form(
-    s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float
+    s: complex, d: float, weight: float, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> Callable[[int], tuple[float, float]]:
-    """evaluate(n): -pi*alpha * (s*L^2 + conj(s)*Lb^2 + d*(L*Lb + Lb*L))
-    / (V*omega) at n nodes per period, and its rounding scale.
+    """evaluate(n): -(s*L'^2 + conj(s)*Lb'^2 + d*(L'*Lb' + Lb'*L')) with
+    L' = weight * L at n nodes per period, and its rounding scale.
 
     The form is real, as each term is paired with its conjugate, so it is
-    summed as 2*Re(s*L^2) + 2*d*|L|^2 in real arithmetic.  The squeezed
-    kernel K_R has (s, d) = (-mu*nu, eta^2); the vacuum kernel K_0 is its
-    eta^2 term at eta^2 = 1/2, so (s, d) = (0, 1/2) at t0 = 0.
+    summed as -(2*Re(s*L'^2) + 2*d*|L'|^2) in real arithmetic.  L and its
+    term size are scaled before anything is squared, so no term leaves
+    double precision unless it is that large itself.  The squeezed kernel
+    K_R has (s, d) = (-mu*nu, eta^2) and the vacuum kernel K_0 (0, 1/2) at
+    t0 = 0, each at the weight sqrt(pi*alpha/(V*omega)) of _kernel_form;
+    the envelope M = |L|^2/4 is (0, -1/8) at weight 1.  The leading minus
+    gives a vanishing loss (r = 0) the closed forms' sign, -0.0.
     """
-    scale = mode.volume * mode.omega
 
     def evaluate(n: int) -> tuple[float, float]:
         line, size = _loop_line(mode, traj, t0, n)
+        line, size = weight * line, weight * size
         x = (s * line * line).real
         y = d * line.real * line.real + d * line.imag * line.imag
-        # each of the four terms moves by 2*|coefficient|*|L|*dL when the
-        # rounding of L moves it by dL ~ eps*size
-        rounding = 4.0 * (abs(s) + abs(d)) * abs(line) * size / scale
-        value = -math.pi * FINE_STRUCTURE * ((x + x + y + y) / scale)
-        return value, math.pi * FINE_STRUCTURE * rounding
+        # each of the four terms moves by 2*|coefficient|*|L'|*dL' when the
+        # rounding of L' moves it by dL' ~ eps*size'
+        return -(x + x + y + y), 4.0 * (abs(s) + abs(d)) * abs(line) * size
 
     return evaluate
 
 
+def _kernel_form(s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float):
+    """_loop_form of the kernel (s, d) at the weight sqrt(pi*alpha/(V*omega)),
+    taken factor by factor so that no product of the three leaves double
+    precision."""
+    weight = math.sqrt(math.pi * FINE_STRUCTURE) / math.sqrt(mode.volume)
+    return _loop_form(s, d, weight / math.sqrt(mode.omega), mode, traj, t0)
+
+
 def _shift_form(state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float):
-    """_loop_form of the squeezed kernel K_R at emission time t0."""
+    """_kernel_form of the squeezed kernel K_R at emission time t0."""
     eta, t0 = state.eta, _finite_input("emission time", t0)
-    return _loop_form(-state.mu * state.nu, eta * eta, mode, traj, t0)
+    return _kernel_form(-state.mu * state.nu, eta * eta, mode, traj, t0)
 
 
 def quad_coherence_shift(
@@ -199,7 +211,7 @@ def quad_vacuum_term(mode: ModeSpec, traj: Trajectory) -> float:
     The two terms of the vacuum kernel K_0 contracted with L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    return _refined(_loop_form(0.0, 0.5, mode, traj, 0.0), "vacuum-term quadrature")
+    return _refined(_kernel_form(0.0, 0.5, mode, traj, 0.0), "vacuum-term quadrature")
 
 
 def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:
@@ -210,13 +222,8 @@ def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     v is odd, so at t0 = 0 the loop line integral L is -2i times that
     overlap and M = |L|^2/4.
     """
-
-    def evaluate(n: int) -> tuple[float, float]:
-        line, size = _loop_line(mode, traj, 0.0, n)
-        half = 0.5 * abs(line)
-        return half * half, half * size
-
-    return _refined(evaluate, "envelope quadrature")
+    envelope = _loop_form(0.0, -0.125, 1.0, mode, traj, 0.0)
+    return _refined(envelope, "envelope quadrature")
 
 
 def quad_coherence_shift_separable(

@@ -559,6 +559,18 @@ def test_band_at_tiny_frequency_rounds_to_zero(run_cli):
         assert float(cells[name]) == 0.0
 
 
+def test_band_at_the_squeeze_cap_sums_ten_million_modes(run_cli):
+    # t0_exact is -1.78e298 at r = 350: the mode sum scales its two sums to
+    # a shift before it weights them, so no partial product leaves double
+    # precision
+    proc = run_cli("band", "--r", "350", "--n-modes", "10000000")
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.strip().split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert float(cells["t0_exact"]) < -1e298
+    assert float(cells["mode_sum_rel_err"]) <= 1e-12
+
+
 def _assert_cavity_ceilings_zero(proc):
     assert proc.returncode == 0
     header, row = proc.stdout.strip().split("\n")

@@ -24,7 +24,7 @@ from recoherence import oracle_quadrature
 from recoherence.oracle_quadrature import (
     _MAX_NODES,
     _NODES_PER_PERIOD,
-    _loop_form,
+    _kernel_form,
     _panel_nodes,
     _refined,
 )
@@ -100,7 +100,7 @@ def test_quadrature_matches_closed_form(omega, r, theta, t0):
     # for node at the base budget
     line = quad_coherence_shift_separable(state, mode, traj, t0)
     assert math.isclose(line, _tensor_shift(state, mode, traj, t0), rel_tol=1e-12)
-    vacuum, _ = _loop_form(0.0, 0.5, mode, traj, 0.0)(_NODES_PER_PERIOD)
+    vacuum, _ = _kernel_form(0.0, 0.5, mode, traj, 0.0)(_NODES_PER_PERIOD)
     assert math.isclose(vacuum, _tensor_vacuum(mode, traj), rel_tol=1e-12)
 
 
@@ -118,6 +118,23 @@ def test_vacuum_term_frozen_value():
     mode = ModeSpec(omega=math.pi, volume=1.0)
     traj = Trajectory(apex=1.0, half_time=1.0)
     assert math.isclose(quad_vacuum_term(mode, traj), W0_AT_PI, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("omega", [0.5, 10.0])
+def test_loop_oracles_converge_on_their_rounding_floor_alone(monkeypatch, omega):
+    # here the base and doubled budgets differ by rounding alone (4e-16 to
+    # 3e-14 of each value); with no relative tolerance each loop oracle must
+    # still accept its value, so its rounding scale is positive and counts
+    # every term of the form
+    state, mode, traj = SqueezeState(1.0, 0.3), _mode(omega), _traj()
+    calls = (
+        lambda: quad_coherence_shift(state, mode, traj, 0.2),
+        lambda: quad_vacuum_term(mode, traj),
+        lambda: quad_envelope(mode, traj),
+    )
+    want = [call() for call in calls]
+    monkeypatch.setattr(oracle_quadrature, "_REL_TOL", 1e-300)
+    assert [call() for call in calls] == want
 
 
 def test_vacuum_term_matches_unitarity_vacuum():

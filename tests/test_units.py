@@ -41,6 +41,7 @@ from recoherence import (
     unitarity_sum,
     windowed_coherence_shift,
 )
+from recoherence.constants import SQUEEZE_CAP
 
 
 def _log_uniform(lo, hi):
@@ -100,13 +101,16 @@ def _outcome(route):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    # r is 0 or in [1e-3, 30]: each side rounds alike only while its values
-    # stay normal doubles.  At a subnormal r the mode sum's subnormal value
-    # depends on how its factors (each a power of lam) round, and near the
-    # cap a shift nears 1e300 and the loop oracle's L^2, which grows like
-    # lam^2 before it is divided by V*omega, leaves double precision on one
-    # side only
-    r=st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(1e-3, 30.0)),
+    # r is 0 or in [1e-3, SQUEEZE_CAP]: each side rounds alike only while
+    # its values stay normal doubles, and at a subnormal r the mode sum's
+    # subnormal value depends on how its factors (each a power of lam)
+    # round.  Near the cap a shift nears 1e300; each route scales its terms
+    # to the value's units before it multiplies them, so both sides leave
+    # double precision alike
+    r=st.one_of(
+        st.just(0.0), st.floats(1e-3, 3.0), st.floats(1e-3, 30.0),
+        st.floats(1e-3, SQUEEZE_CAP),
+    ),
     theta=st.floats(-10.0, 10.0),
     omega_t=_log_uniform(0.05, 50.0),  # omega*T: below and above j2's series cut 2
     half_time=_log_uniform(1e-6, 1e6),
@@ -124,6 +128,12 @@ def _outcome(route):
          volume=2.0, n=100, k=1, sign=1)
 @example(r=0.5, theta=-1.0, omega_t=1.5, half_time=3.0, ratio=0.2, t0_over_t=-2.0,
          volume=0.5, n=7, k=3, sign=-1)
+# at the cap: the mode sum's assembly and the loop oracle's squared L leave
+# double precision on one side only unless each is scaled to the value first
+@example(r=350.0, theta=0.0, omega_t=1.0, half_time=1.0, ratio=1.0, t0_over_t=0.0,
+         volume=1.0, n=1, k=10, sign=-1)
+@example(r=313.0, theta=0.0, omega_t=1.0, half_time=1e6, ratio=1.0, t0_over_t=0.0,
+         volume=1.0, n=1, k=20, sign=1)
 def test_rescaled_units_give_the_same_bits(
     r, theta, omega_t, half_time, ratio, t0_over_t, volume, n, k, sign
 ):
