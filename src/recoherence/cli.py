@@ -364,7 +364,11 @@ def _inputs(v: dict, *keys: str) -> dict:
 
 
 def _rel_err(value: float, reference: float) -> float:
-    return abs(value - reference) / max(abs(reference), 1e-30)
+    """|value - reference| / |reference| with no floor, so it holds however
+    small the two are: 0.0 when they are equal, inf when only the reference
+    is 0."""
+    gap = abs(value - reference)
+    return gap / abs(reference) if reference else (math.inf if gap else 0.0)
 
 
 def _show_warning(message, *_) -> None:

@@ -32,11 +32,10 @@ def _finite_input(name: str, value, positive: bool = False) -> float:
     return value
 
 
-def _count_input(name: str, value, low: int, high: float = math.inf) -> int:
-    """int(value); DomainError unless it is a whole number in [low, high]."""
-    if not (low <= value <= high and value % 1 == 0):  # nan and inf fail too
-        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+def _count_input(name: str, value, high: int) -> int:
+    """int(value); DomainError unless it is a whole number in [1, high]."""
+    if not (1 <= value <= high and value % 1 == 0):  # nan and inf fail too
+        raise DomainError(f"{name} must be an integer in [1, {high}], got {value!r}")
     return int(value)
 
 

@@ -243,7 +243,7 @@ def mode_sum_oracle(
     leaves double precision, or when an end mode's emission phase exceeds
     2^32 rad.
     """
-    n = _count_input("n_modes", n_modes, 1, MAX_MODES)
+    n = _count_input("n_modes", n_modes, MAX_MODES)
     t0 = _finite_input("emission time", t0)
     cell = _representable(2.0 * band.half_width / n, "mode cell width")
     lo = band.edges[0]

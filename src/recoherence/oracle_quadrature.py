@@ -6,22 +6,24 @@ kernel around the interference loop,
 
     W = -pi*alpha * loop-int dz loop-int dz' K(t, t'),
 
-with the loop traversed as arm C1 minus the mirrored arm C2.  For a single
-squeezed mode the renormalized kernel is
+with the loop traversed as arm C1 minus the mirrored arm C2.  One mode
+contributes through the single field e^{-i*omega*(t + t0)}, so the double
+integral factorises through one complex line integral
+L = sum over legs of sign * int v_leg e^{-i*omega*(t+t0)} dt, arm C1 with
+orientation +1 and velocity +v, arm C2 with -1 and -v.  Written in the
+field's quadratures, a + i*b = sqrt(pi*alpha/(V*omega)) * e^{i*theta/2} * L,
+each kernel is diagonal: the vacuum K_0 has variance 1 in both, a squeezed
+vacuum e^{-2r} in a and e^{2r} in b (Caves, Phys. Rev. D 23, 1693, 1981),
+and the renormalized K_R is the difference of the two.  So
 
-    K_R(t, t') = (1/(V*omega)) * ( -mu*nu * e^{-i*omega*(t + t' + 2*t0)}
-                                   + eta^2 * e^{-i*omega*(t - t')} + c.c. ),
+    W_0 = -(a^2 + b^2),    W_R = -(expm1(-2r)*a^2 + expm1(2r)*b^2),
 
-and the vacuum reference kernel K_0 is its eta^2 term at eta^2 = 1/2.
-Both are sums of products of e^{-i*omega*t} and its conjugate (rank at
-most 4), so the double integral factorises through one complex line
-integral L = sum over legs of sign * int v_leg e^{-i*omega*(t+t0)} dt,
-arm C1 with orientation +1 and velocity +v, arm C2 with -1 and -v.  With
-Lb = conj(L), L' = sqrt(pi*alpha/(V*omega)) * L and s = -mu*nu either W is
--(s*L'^2 + conj(s)*Lb'^2 + eta^2*(L'*Lb' + Lb'*L')), with s = 0,
-eta^2 = 1/2 and t0 = 0 for the vacuum, and the envelope is |L|^2/4: one
-quadratic form of L (_loop_form), linear in the node count in time and
-memory.
+W_0 at t0 = 0 with L left unturned (|L| does not depend on t0), and
+W_R + W_0 = -(e^{-2r}*a^2 + e^{2r}*b^2) <= 0 is the bound on recoherence.
+The envelope M = |L|^2/4 at t0 = 0 is the same form at (-1/4, -1/4) with
+a + i*b = L.  One real form -(p*a^2 + q*b^2) (_loop_form) evaluates all
+three, linear in the node count in time and memory; no two of its terms
+cancel unless the value does.
 
 Integrals use one fixed rule: composite Gauss-Legendre panels of _ORDER
 nodes, sized by a budget of _NODES_PER_PERIOD nodes per oscillation
@@ -63,10 +65,14 @@ _MAX_NODES = 2**22
 #: rounding floor of the refinement check, in units of an evaluation's
 #: rounding scale (what a relative change eps of its summed terms moves it
 #: by, to first order): two budgets that differ by less differ by rounding
-#: alone.  Measured rounding gaps reached 0.95 of the scale for the
-#: quadratic forms at omega*T <= 10, 2.2 up to omega*T = 1e4, and 0.03 for
-#: the band integrals up to a centre of 3000 (their scale counts the
-#: rounding of the integrand's phase)
+#: alone.  Measured gaps between the budgets, over omega*T on a log grid,
+#: r <= 20, three theta and four t0: at omega*T <= 10, 1.6 of the scale for
+#: the vacuum term, 1.5 for the envelope and 1.8 for the shift, but 39 for
+#: the shift at its window centre at r = 20, where b is rounding alone and
+#: q*b^2 rounds at second order (1e-12 of the value, inside _REL_TOL); up to
+#: omega*T = 1e4, 8.1 for the vacuum term and the envelope and 10 for the
+#: shift at r <= 2.  0.03 for the band integrals up to a centre of 3000
+#: (their scale counts the rounding of the integrand's phase)
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -144,45 +150,40 @@ def _loop_line(
 
 
 def _loop_form(
-    s: complex, d: float, weight: float, mode: ModeSpec, traj: Trajectory, t0: float
+    p: float, q: float, weight: complex, mode: ModeSpec, traj: Trajectory, t0: float
 ) -> Callable[[int], tuple[float, float]]:
-    """evaluate(n): -(s*L'^2 + conj(s)*Lb'^2 + d*(L'*Lb' + Lb'*L')) with
-    L' = weight * L at n nodes per period, and its rounding scale.
+    """evaluate(n): -(p*a^2 + q*b^2) with a + i*b = weight * L at n nodes
+    per period, and its rounding scale.
 
-    The form is real, as each term is paired with its conjugate, so it is
-    summed as -(2*Re(s*L'^2) + 2*d*|L'|^2) in real arithmetic.  L and its
+    The phase of ``weight`` turns L onto the quadratures a and b.  L and its
     term size are scaled before anything is squared, so no term leaves
-    double precision unless it is that large itself.  The squeezed kernel
-    K_R has (s, d) = (-mu*nu, eta^2) and the vacuum kernel K_0 (0, 1/2) at
-    t0 = 0, each at the weight sqrt(pi*alpha/(V*omega)) of _kernel_form;
-    the envelope M = |L|^2/4 is (0, -1/8) at weight 1.  The leading minus
-    gives a vanishing loss (r = 0) the closed forms' sign, -0.0.
+    double precision unless it is that large itself.
     """
 
     def evaluate(n: int) -> tuple[float, float]:
         line, size = _loop_line(mode, traj, t0, n)
-        line, size = weight * line, weight * size
-        x = (s * line * line).real
-        y = d * line.real * line.real + d * line.imag * line.imag
-        # each of the four terms moves by 2*|coefficient|*|L'|*dL' when the
-        # rounding of L' moves it by dL' ~ eps*size'
-        return -(x + x + y + y), 4.0 * (abs(s) + abs(d)) * abs(line) * size
+        line, size = weight * line, abs(weight) * size
+        a, b = line.real, line.imag
+        # p*a^2 moves by 2*|p*a|*da when the rounding of L' moves a by
+        # da ~ eps*size', and q*b^2 likewise with b
+        return -(p * a * a + q * b * b), 2.0 * (abs(p * a) + abs(q * b)) * size
 
     return evaluate
 
 
-def _kernel_form(s: complex, d: float, mode: ModeSpec, traj: Trajectory, t0: float):
-    """_loop_form of the kernel (s, d) at the weight sqrt(pi*alpha/(V*omega)),
-    taken factor by factor so that no product of the three leaves double
-    precision."""
+def _kernel_weight(mode: ModeSpec) -> float:
+    """sqrt(pi*alpha/(V*omega)), taken factor by factor so that no product
+    of the three leaves double precision."""
     weight = math.sqrt(math.pi * FINE_STRUCTURE) / math.sqrt(mode.volume)
-    return _loop_form(s, d, weight / math.sqrt(mode.omega), mode, traj, t0)
+    return weight / math.sqrt(mode.omega)
 
 
 def _shift_form(state: SqueezeState, mode: ModeSpec, traj: Trajectory, t0: float):
-    """_kernel_form of the squeezed kernel K_R at emission time t0."""
-    eta, t0 = state.eta, _finite_input("emission time", t0)
-    return _kernel_form(-state.mu * state.nu, eta * eta, mode, traj, t0)
+    """_loop_form of the squeezed kernel K_R at emission time t0, on L turned
+    by e^{i*theta/2}."""
+    r, half, t0 = state.r, 0.5 * state.theta, _finite_input("emission time", t0)
+    weight = complex(math.cos(half), math.sin(half)) * _kernel_weight(mode)
+    return _loop_form(math.expm1(-2.0 * r), math.expm1(2.0 * r), weight, mode, traj, t0)
 
 
 def quad_coherence_shift(
@@ -190,17 +191,34 @@ def quad_coherence_shift(
 ) -> float:
     """Single-mode coherence shift from the raw loop double integral.
 
-    Independent route to the closed form: the four terms of the squeezed
-    kernel K_R contracted with the loop line integral L, accepted only if
+    Independent route to the closed form: the squeezed kernel K_R, diagonal
+    in the quadratures a and b of the loop line integral L, accepted only if
     doubling the node budget reproduces it.
 
-    Accuracy: the check holds the value to 1e-8 of itself or to its
-    rounding floor, which grows like (omega*T)^2 relative to the value
-    as L cancels against its terms: 1e-9 to 1e-8 at omega*T = 1e3, 3e-7
-    to 1.3e-6 at 1e4.  Beyond that the check no longer bounds the error:
-    both budgets share the rounding of the phase and of L, and at
-    omega*T = 1e5 it accepts values off by 1e-5 to 5e-4 of the value
-    (1.7e-4 at r = 1, t0 = 0.3, R/T = 0.1).
+    Accuracy: the error is the rounding of the phases the value is built
+    from, F = 1 + omega*(T + |t0|) + |theta| in units of eps, carried by
+    the term size s' = 4*R*sqrt(pi*alpha/(V*omega)) of a and b: about
+    eps*F*s' * (|L'|*(1 + sinh(2r)*|cos(psi/2)|) + eps*F*s'*sinh(2r)), with
+    psi = 2*omega*t0 - theta and |L'| = |a + i*b|.  The closed form's
+    rounding of psi moves g alike, by sinh(2r)*sin(psi)/2 per rad.  The
+    constant stayed below 1 against the closed form on 3.2e4 draws with
+    r <= 20 and 3e3 with r <= 350, at omega*T in [0.5, 30] and t0 near the
+    recoherence window or anywhere in a period.  At the window centre
+    b = 0: up to r = 20 the two agree to 3.3e-14 at omega*T <= 3.34 and to
+    8.6e-11 at 30.  Away from it the error grows with
+    sinh(2r)*|cos(psi/2)|, to 1.3e-5 of the value a quarter-width in at
+    r = 20, omega*T = 30.  From about r = 30 at the centre b is rounding
+    alone and e^{2r}*b^2 outweighs the value: the check then accepts or
+    refuses rounding noise (it refused 3% of those draws, none below
+    r = 38), and the closed form is as ill-conditioned in t0.
+
+    The check holds the value to 1e-8 of itself or to its rounding floor,
+    which grows like (omega*T)^2 relative to the value as L cancels
+    against its terms: 1e-9 to 1e-8 at omega*T = 1e3, 3e-7 to 1.3e-6 at
+    1e4.  Beyond that the check no longer bounds the error: both budgets
+    share the rounding of the phase and of L, and at omega*T = 1e5 it
+    accepts values off by 1e-5 to 5e-4 of the value (1.7e-4 at r = 1,
+    t0 = 0.3, R/T = 0.1).
     """
     return _refined(_shift_form(state, mode, traj, t0), "coherence-shift quadrature")
 
@@ -208,10 +226,11 @@ def quad_coherence_shift(
 def quad_vacuum_term(mode: ModeSpec, traj: Trajectory) -> float:
     """Vacuum coherence loss of one mode from the raw loop double integral.
 
-    The two terms of the vacuum kernel K_0 contracted with L; checks
+    The vacuum kernel K_0, -(a^2 + b^2) in the quadratures of L; checks
     -(4*pi*alpha/(V*omega))*M independently of the envelope algebra.
     """
-    return _refined(_kernel_form(0.0, 0.5, mode, traj, 0.0), "vacuum-term quadrature")
+    vacuum = _loop_form(1.0, 1.0, _kernel_weight(mode), mode, traj, 0.0)
+    return _refined(vacuum, "vacuum-term quadrature")
 
 
 def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:
@@ -222,7 +241,7 @@ def quad_envelope(mode: ModeSpec, traj: Trajectory) -> float:
     v is odd, so at t0 = 0 the loop line integral L is -2i times that
     overlap and M = |L|^2/4.
     """
-    envelope = _loop_form(0.0, -0.125, 1.0, mode, traj, 0.0)
+    envelope = _loop_form(-0.25, -0.25, 1.0, mode, traj, 0.0)
     return _refined(envelope, "envelope quadrature")
 
 

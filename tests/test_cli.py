@@ -186,15 +186,26 @@ def test_oracle_starved_tolerance_exits_two(monkeypatch, capsys):
     assert out == ""
 
 
-def test_oracle_disagreement_exits_two(monkeypatch, capsys):
+@pytest.mark.parametrize("ratio", ["0.1", "1e-20"])
+def test_oracle_disagreement_exits_two(monkeypatch, capsys, ratio):
     # a quadrature off by 1e-5 of the closed form: the table is written,
-    # then the worst point and the verdict
+    # then the worst point and the verdict.  At R/T = 1e-20 every value is
+    # below 1e-30, where an absolute floor would hide the gap
     quad = cli.quad_coherence_shift
     monkeypatch.setattr(cli, "quad_coherence_shift", lambda *a: quad(*a) * (1 + 1e-5))
-    assert cli.main(["oracle", "--grid", "quick"]) == 2
+    assert cli.main(["oracle", "--grid", "quick", "--ratio-RT", ratio]) == 2
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1 + 16
     assert err.endswith("recoherence: oracle disagreement above 1e-06\n")
+
+
+def test_relative_error_has_no_floor():
+    # the oracle and band columns and the oracle gate: relative at any size,
+    # 0 for two equal values (signed zeros included), inf against a zero
+    assert cli._rel_err(3 * 2.0**-140, 2.0**-139) == 0.5
+    assert cli._rel_err(-0.0, 0.0) == 0.0
+    assert cli._rel_err(5e-324, 0.0) == math.inf
+    assert cli._rel_err(-5e-324, -0.0) == math.inf
 
 
 def test_starved_band_integral_exits_two(monkeypatch, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoherence import (
     ConvergenceError,
@@ -11,6 +13,7 @@ from recoherence import (
     SqueezeState,
     Trajectory,
     coherence_shift,
+    emission_window,
     integrate_oscillatory,
     mode_envelope,
     quad_coherence_shift,
@@ -24,7 +27,8 @@ from recoherence import oracle_quadrature
 from recoherence.oracle_quadrature import (
     _MAX_NODES,
     _NODES_PER_PERIOD,
-    _kernel_form,
+    _kernel_weight,
+    _loop_form,
     _panel_nodes,
     _refined,
 )
@@ -32,6 +36,8 @@ from recoherence.oracle_quadrature import (
 # frozen from 30-digit mpmath quadrature of the vacuum loop integral at
 # omega = pi, volume = 1, apex = half_time = 1
 W0_AT_PI = -6.9953356796548714e-02
+
+EPS = np.finfo(float).eps
 
 
 def _mode(omega):
@@ -100,8 +106,59 @@ def test_quadrature_matches_closed_form(omega, r, theta, t0):
     # for node at the base budget
     line = quad_coherence_shift_separable(state, mode, traj, t0)
     assert math.isclose(line, _tensor_shift(state, mode, traj, t0), rel_tol=1e-12)
-    vacuum, _ = _kernel_form(0.0, 0.5, mode, traj, 0.0)(_NODES_PER_PERIOD)
+    vacuum, _ = _loop_form(1.0, 1.0, _kernel_weight(mode), mode, traj, 0.0)(_NODES_PER_PERIOD)
     assert math.isclose(vacuum, _tensor_vacuum(mode, traj), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("r", [5.0, 10.0, 15.0, 20.0])
+def test_shift_quadrature_holds_at_the_window_centre(r):
+    # at the centre the anti-squeezed quadrature b vanishes and the gain is
+    # e^{2r} below its coefficient expm1(2r); a form whose terms cancel there
+    # gives rounding noise (-0.0 at r = 20)
+    traj = _traj()
+    for x in (0.7, 3.34, 10.0, 30.0):
+        for theta in (0.0, 2.5):
+            state, mode = SqueezeState(r, theta), _mode(x)
+            window = emission_window(state, mode)
+            t0 = 0.5 * (window.start + window.end)
+            closed = coherence_shift(state, mode, traj, t0).value
+            direct = quad_coherence_shift(state, mode, traj, t0)
+            assert math.isclose(direct, closed, rel_tol=1e-9), (x, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.floats(0.0, 20.0),
+    x=st.floats(0.5, 30.0),
+    theta=st.floats(-math.pi, math.pi),
+    u=st.floats(-1.0, 1.0),
+    in_window=st.booleans(),
+)
+def test_shift_quadrature_error_follows_the_squeezed_quadratures(r, x, theta, u, in_window):
+    # t0 within one window width of its centre, or anywhere in one period of g
+    state, mode, traj = SqueezeState(r, theta), _mode(x), _traj()
+    window = emission_window(state, mode)
+    centre = 0.5 * (window.start + window.end)
+    t0 = centre + u * window.width if in_window else (1.0 + u) * math.pi / (2.0 * x)
+    closed = coherence_shift(state, mode, traj, t0).value
+    direct = quad_coherence_shift(state, mode, traj, t0)
+    # a, b carry the rounding of the loop's phases (nodes, t0 and theta/2)
+    # times the term size 4R of L, not |L|, which vanishes at the envelope's
+    # zeros; q*b^2 turns it into sinh(2r)*|b| with |b| = |L'|*|cos(psi/2)|,
+    # and into sinh(2r)*d^2 where b is rounding alone.  The closed form's
+    # rounding, through dg/dpsi, is of the same shape.  K = 16: up to 0.71
+    # was needed on 3e4 draws, about 1e8 for a complex form whose terms
+    # cancel by e^{2r}
+    weight = math.sqrt(math.pi * FINE_STRUCTURE / (mode.volume * mode.omega))
+    line = 2.0 * weight * math.sqrt(mode_envelope(mode, traj))  # |L'|
+    d = EPS * (1.0 + x * (traj.half_time + abs(t0)) + abs(theta)) * 4.0 * weight * traj.apex
+    tilt = 1.0 + math.sinh(2.0 * r) * abs(math.cos(x * t0 - 0.5 * theta))
+    bound = 16.0 * d * (line * tilt + d * math.sinh(2.0 * r))
+    assert abs(direct - closed) <= 1e-9 * abs(closed) + bound
+    # the paper's bound, shift + vacuum = -(e^{-2r}*a^2 + e^{2r}*b^2) <= 0,
+    # to the same rounding: on the window centre at r = 17 it is -e^{-34}*a^2,
+    # below the rounding of the two separate oracles
+    assert direct + quad_vacuum_term(mode, traj) <= bound
 
 
 def test_separable_route_agrees_with_tensor_route():
