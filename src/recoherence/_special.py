@@ -91,22 +91,11 @@ def j2_over_x(x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return j2_over_x(float(x))
-    if x.size:
-        low, high = x.min(), x.max()
-        # every point finite and on one trigonometric side (nan fails too)
-        if (_J2_SERIES_CUT <= low and high < math.inf) or (
-            -math.inf < low and high <= -_J2_SERIES_CUT
-        ):
-            return _j2_over_x_trig(1.0 / x, np.sin(x), np.cos(x))
-    # otherwise each x takes its side of the cut, and +-inf gives 0
-    value = np.empty_like(x)
-    small = np.abs(x) < _J2_SERIES_CUT
-    value[small] = _j2_over_x_series(x[small])
-    xb = x[~small]
-    with np.errstate(invalid="ignore"):  # sin/cos of +-inf, mended by the where
-        trig = _j2_over_x_trig(1.0 / xb, np.sin(xb), np.cos(xb))
-    value[~small] = np.where(np.isinf(xb), 0.0, trig)
-    return value
+    # both forms at every x, each x taking its side of the cut; +-inf gives 0
+    with np.errstate(all="ignore"):  # the side not taken may overflow or be nan
+        series = _j2_over_x_series(x)
+        trig = _j2_over_x_trig(1.0 / x, np.sin(x), np.cos(x))
+    return np.where(abs(x) < _J2_SERIES_CUT, series, np.where(np.isinf(x), 0.0, trig))
 
 
 def _j2_squared_over_x(u, sin_x, cos_x, out):

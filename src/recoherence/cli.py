@@ -199,9 +199,9 @@ def _at_first(values: np.ndarray, marked, call: Callable) -> None:
         call(values.flat[np.argmax(marked)])
 
 
-def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
-    """argparse type of --vary: NAME=v1,v2,... or NAME=START:STOP:COUNT,
-    every value through NAME's own rule (a range's as one array)."""
+def _parse_axis(spec: str) -> tuple[str, np.ndarray]:
+    """argparse type of --vary: NAME=v1,v2,... or NAME=START:STOP:COUNT as
+    one float array, every value through NAME's own rule (a range's at once)."""
     name, sep, rest = (part.strip() for part in spec.partition("="))
     if not sep or not rest:
         raise ArgumentTypeError(f"expected NAME=VALUES, got {spec!r}")
@@ -210,7 +210,7 @@ def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
         raise ArgumentTypeError(f"axis {name!r} is not one of: {', '.join(table)}")
     rule = table[name][0]
     if ":" not in rest:
-        return name, tuple(_convert(name, rule, value) for value in rest.split(","))
+        return name, np.array([_convert(name, rule, raw) for raw in rest.split(",")])
     bounds = rest.split(":")
     if len(bounds) != 3:
         raise ArgumentTypeError(f"{name} expects START:STOP:COUNT, got {rest!r}")
@@ -226,7 +226,7 @@ def _parse_axis(spec: str) -> tuple[str, tuple[float, ...]]:
             raise ArgumentTypeError(f"{name}={rest} spans more than double precision")
     refused = np.logical_not(rule.ok(values))  # the first, with its message
     _at_first(values, refused, functools.partial(_convert, name, rule))
-    return name, tuple(values.tolist())
+    return name, values
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -544,6 +544,7 @@ def _run_estimate(v: dict, output: str | None) -> int:
 def sweep(values: dict, output: str | None) -> int:
     """Cartesian sweep over the ``vary`` axes, row-major in axis order.
 
+    Each axis is held as one float array, as ``_parse_axis`` builds it.
     The values of r, theta, ratio-RT and t0-omega are first checked as the
     scalar path checks them (as arrays, the scalar check run only on a value
     refused), and the first refused with DomainError ends the sweep; so is

@@ -235,10 +235,10 @@ def mode_sum_oracle(
     so every mode then has omega*T >= 1e292, where a rounds to +0.  Every
     block is evaluated in one workspace of three block-sized real arrays
     and one complex one, and adds the ``np.sum`` of its a and of its a * c^2
-    to the two sums.  The workspace and the two turn tables are one
-    allocation a call.  Memory is the 128 KiB step table, 512 KiB of turn
-    tables and 640 KiB of workspace, whatever the mode count; ``MAX_MODES``
-    bounds the time.
+    to the two sums.  The turn tables with the complex workspace, and the
+    real workspace, are two arrays allocated once a call.  Memory is the
+    128 KiB step table, 512 KiB of turn tables and 640 KiB of workspace,
+    whatever the mode count; ``MAX_MODES`` bounds the time.
     RangeError when the cell width, the top mode's cell volume or the sum
     leaves double precision, or when an end mode's emission phase exceeds
     2^32 rad.
@@ -261,14 +261,11 @@ def mode_sum_oracle(
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: RangeError below
         # a block's mode j lies j*cell above its first mode; e^{i*j*cell*T}
         # and e^{i*j*cell*t0} turn omega*T and the half phase that far; the
-        # tables and the workspace (omega, a and x, and the turned phasor)
-        # are views of one allocation
+        # block's turned phasor and its omega, a and x are the workspace
         steps = np.arange(min(n, _MODE_BLOCK), dtype=float)
         steps *= cell
-        memory = np.empty(9 * steps.size)
-        complex_ = memory[: 6 * steps.size].view(complex).reshape(3, -1)
-        turns_x, turns_half, turned = complex_
-        workspace = memory[6 * steps.size :].reshape(3, -1)
+        turns_x, turns_half, turned = np.empty((3, steps.size), complex)
+        workspace = np.empty((3, steps.size))
         _turns(turns_x, cell * half_time)
         _turns(turns_half, cell * t0)
         sum_a = sum_ac2 = 0.0

@@ -64,15 +64,15 @@ _MAX_NODES = 2**22
 
 #: rounding floor of the refinement check, in units of an evaluation's
 #: rounding scale (what a relative change eps of its summed terms moves it
-#: by, to first order): two budgets that differ by less differ by rounding
-#: alone.  Measured gaps between the budgets, over omega*T on a log grid,
-#: r <= 20, three theta and four t0: at omega*T <= 10, 1.6 of the scale for
-#: the vacuum term, 1.5 for the envelope and 1.8 for the shift, but 39 for
-#: the shift at its window centre at r = 20, where b is rounding alone and
-#: q*b^2 rounds at second order (1e-12 of the value, inside _REL_TOL); up to
-#: omega*T = 1e4, 8.1 for the vacuum term and the envelope and 10 for the
-#: shift at r <= 2.  0.03 for the band integrals up to a centre of 3000
-#: (their scale counts the rounding of the integrand's phase)
+#: by): two budgets that differ by less differ by rounding alone.  Measured
+#: gaps between the budgets, over omega*T on a log grid, r <= 20, three
+#: theta and four t0: at omega*T <= 10, 1.4 of the scale for the vacuum
+#: term, 1.3 for the envelope and 1.7 for the shift, 1.8 at its window
+#: centre, where b is rounding alone and q*b^2 rounds at second order (31
+#: there for a scale of first order); up to omega*T = 1e4, 5.6 for the
+#: vacuum term and the envelope and 20 for the shift at r <= 2 (half of
+#: _REL_TOL).  0.03 for the band integrals up to a centre of 3000 (their
+#: scale counts the rounding of the integrand's phase)
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -113,12 +113,12 @@ def _refined(evaluate: Callable[[int], tuple[float, float]], what: str) -> float
     """evaluate(n) at the doubled budget n = 2*_NODES_PER_PERIOD, checked
     against the base budget n = _NODES_PER_PERIOD.
 
-    ``evaluate`` returns the value and its rounding scale, the first-order
-    change of the value when its summed terms change by a relative eps.
-    The two must agree within _REL_TOL of the value or within the rounding
-    floor _ROUNDING times that scale, whichever is larger, so a converged
-    value never fails on rounding alone.  RangeError when the value leaves
-    double precision; a nan gap fails the check.
+    ``evaluate`` returns the value and its rounding scale, the change of
+    the value, in units of eps, when its summed terms change by a relative
+    eps.  The two must agree within _REL_TOL of the value or within the
+    rounding floor _ROUNDING times that scale, whichever is larger, so a
+    converged value never fails on rounding alone.  RangeError when the
+    value leaves double precision; a nan gap fails the check.
     """
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         coarse, _ = evaluate(_NODES_PER_PERIOD)
@@ -164,9 +164,12 @@ def _loop_form(
         line, size = _loop_line(mode, traj, t0, n)
         line, size = weight * line, abs(weight) * size
         a, b = line.real, line.imag
-        # p*a^2 moves by 2*|p*a|*da when the rounding of L' moves a by
-        # da ~ eps*size', and q*b^2 likewise with b
-        return -(p * a * a + q * b * b), 2.0 * (abs(p * a) + abs(q * b)) * size
+        # p*a^2 moves by |p|*(2*|a| + d)*d when the rounding of L' moves a by
+        # d = eps*size', and q*b^2 likewise with b: the second-order part
+        # counts where b is rounding alone and q ~ e^{2r}
+        d = np.finfo(float).eps * size
+        scale = (abs(p) * (2.0 * abs(a) + d) + abs(q) * (2.0 * abs(b) + d)) * size
+        return -(p * a * a + q * b * b), scale
 
     return evaluate
 
@@ -208,9 +211,10 @@ def quad_coherence_shift(
     8.6e-11 at 30.  Away from it the error grows with
     sinh(2r)*|cos(psi/2)|, to 1.3e-5 of the value a quarter-width in at
     r = 20, omega*T = 30.  From about r = 30 at the centre b is rounding
-    alone and e^{2r}*b^2 outweighs the value: the check then accepts or
-    refuses rounding noise (it refused 3% of those draws, none below
-    r = 38), and the closed form is as ill-conditioned in t0.
+    alone and e^{2r}*b^2 outweighs the value: the check then accepts
+    rounding noise, since its floor counts that term (it refused none of
+    3,000 draws with r <= 350; 46 with a floor of first order, none below
+    r = 45), and the closed form is as ill-conditioned in t0.
 
     The check holds the value to 1e-8 of itself or to its rounding floor,
     which grows like (omega*T)^2 relative to the value as L cancels

@@ -136,10 +136,31 @@ def test_shift_quadrature_holds_at_the_window_centre(r):
 )
 def test_shift_quadrature_error_follows_the_squeezed_quadratures(r, x, theta, u, in_window):
     # t0 within one window width of its centre, or anywhere in one period of g
-    state, mode, traj = SqueezeState(r, theta), _mode(x), _traj()
+    state, mode = SqueezeState(r, theta), _mode(x)
     window = emission_window(state, mode)
     centre = 0.5 * (window.start + window.end)
     t0 = centre + u * window.width if in_window else (1.0 + u) * math.pi / (2.0 * x)
+    _assert_shift_within_the_quadrature_bound(r, x, theta, t0)
+
+
+@pytest.mark.parametrize(
+    "x, theta, t0",
+    [
+        (5.76345919689455, 1.1639004477529493, 0.33002098139922237),
+        (9.095011330476355, 0.0822546418814083, 0.1772316263837637),
+    ],
+)
+def test_shift_quadrature_accepts_budgets_that_agree_to_second_order_rounding(
+    x, theta, t0
+):
+    # near the window centre at r = 20 b is rounding alone, so the budgets
+    # differ by q*d^2 (the doubled value here is -0.0 and -6.3e-23): a floor
+    # of first order refuses them
+    _assert_shift_within_the_quadrature_bound(20.0, x, theta, t0)
+
+
+def _assert_shift_within_the_quadrature_bound(r, x, theta, t0):
+    state, mode, traj = SqueezeState(r, theta), _mode(x), _traj()
     closed = coherence_shift(state, mode, traj, t0).value
     direct = quad_coherence_shift(state, mode, traj, t0)
     # a, b carry the rounding of the loop's phases (nodes, t0 and theta/2)

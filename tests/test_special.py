@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recoherence import SQUEEZE_CAP, locate_envelope_max
@@ -107,9 +107,17 @@ def test_phase_weight_array_equals_scalar(r, phases):
         max_size=40,
     )
 )
+# the edges, which the draws rarely hit: each side of the cut at +-2 (the
+# series and the trigonometric form differ in the last bits there), the
+# signed zeros, the infinities, nan (whose hex is "nan") and no point at all
+@example([2.0, -2.0, math.nextafter(2.0, 0.0), math.nextafter(-2.0, 0.0)])
+@example([0.0, -0.0])
+@example([math.inf, -math.inf, math.nan])
+@example([])
 def test_j2_over_x_array_equals_scalar(xs):
-    # bit for bit, on the trigonometric-only path and the masked one alike
+    # bit for bit, each x on its side of the cut
     values = j2_over_x(np.array(xs))
+    assert values.shape == (len(xs),)
     for got, x in zip(values.tolist(), xs):
         assert got.hex() == j2_over_x(x).hex(), x
 
@@ -123,14 +131,14 @@ def test_j2_over_x_array_equals_scalar(xs):
     )
 )
 def test_j2_over_x_trig_only_array_has_the_masked_bits(xs):
-    # every point above the cut skips the masks; one point below it does not
+    # a point below the cut leaves the bits of the points above it alone
     x = np.array(xs)
     masked = j2_over_x(np.append(x, 0.5))[:-1]
     assert j2_over_x(x).tobytes() == masked.tobytes()
 
 
 def test_j2_over_x_array_edges():
-    # +-inf, nan and empty arrays take the masked path
+    # +-inf, nan and empty arrays
     three = j2_over_x(np.array([3.0]))[0]
     assert j2_over_x(np.array([math.inf, -math.inf])).tolist() == [0.0, 0.0]
     assert j2_over_x(np.array([3.0, -math.inf])).tolist() == [three, 0.0]

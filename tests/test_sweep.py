@@ -94,20 +94,22 @@ def test_each_value_is_formatted_once_at_any_block_size(rows, monkeypatch):
     assert _run(_GOLDEN_ARGV)[0] == 0 and len(formatted) == once
 
 
-# 50,000 rows each.  Under tracemalloc they peak at 4.6, 6.4 and 8.2 MB;
-# a writer that joins the table into one string peaks at 17.4 MB on the
-# first, one that formats whole columns when the first axis is short at
-# 52.6 MB on the second, and a status column of <U11 strings at 10.2 MB on
-# the third, a one-axis sweep.
+# 50,000 rows each.  Under tracemalloc they peak at 4.4, 6.2, 6.4 and
+# 8.5 MB; a writer that joins the table into one string peaks at 17.4 MB on
+# the first, one that formats whole columns when the first axis is short at
+# 52.6 MB on the second, a status column of <U11 strings at 10.2 MB on the
+# third, a one-axis sweep, and an axis held as a tuple of Python floats at
+# 8.0 and 10.1 MB on the last two.
 @pytest.mark.parametrize(
     "argv, peak_mb",
     [
         (["single-mode", "--t0-grid", "50000"], 10.0),
         (["sweep", "--vary", "r=1", "--vary", "t0-omega=0:3:50",
           "--vary", "omega-bar-T=0.5:4:1000"], 20.0),
-        (["sweep", "--vary", "t0-omega=0:3:50000"], 9.2),
+        (["sweep", "--vary", "t0-omega=0:3:50000"], 7.2),
+        (["sweep", "--vary", "r=0:2:50000"], 9.4),
     ],
-    ids=["single-mode", "sweep", "sweep-one-axis"],
+    ids=["single-mode", "sweep", "sweep-one-axis", "sweep-one-axis-r"],
 )
 def test_tables_are_written_in_bounded_memory(argv, peak_mb, tmp_path):
     tracemalloc.start()
