@@ -42,7 +42,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .constants import SQUEEZE_CAP
 from .errors import ConvergenceError, DomainError, RangeError
 from .errors import _finite_input, _representable
 from .estimates import (
@@ -463,8 +462,7 @@ def _run_band(v: dict, output: str | None) -> int:
     mode_sum = mode_sum_oracle(state, band, traj, v["n-modes"], t0)
     windowed_exact = band_coherence_shift_exact(state, band, traj)
     windowed_leading = band_coherence_shift_leading(state, band, traj)
-    row = _inputs(v, "r", "theta", "omega-bar-T", "ratio-RT", "delta-omega-ratio")
-    row.update(_inputs(v, "solid-angle", "t0-omega", "n-modes"))
+    row = _inputs(v, *_OPTIONS["band"])
     row["windowed_exact"] = windowed_exact
     row["windowed_leading"] = windowed_leading
     row["leading_rel_err"] = _rel_err(windowed_leading, windowed_exact)
@@ -552,8 +550,8 @@ def sweep(values: dict, output: str | None) -> int:
     relativistic value, for its warning.  Each column is then computed once
     at the shape of the axes it depends on (``single_mode._table``) and
     written by ``_write_table``, in blocks of rows; the range_error rows,
-    r above the cap and the cells ``_table`` marks ``refused`` (which the
-    scalar path refuses), get nan cells after formatting."""
+    the cells ``_table`` marks ``refused`` (which the scalar path refuses),
+    get nan cells after formatting."""
     names = [name for name, _ in values["vary"]]
     if len(names) > _MAX_AXES:
         raise ConfigError(f"at most {_MAX_AXES} --vary axes, got {len(names)}")
@@ -577,9 +575,8 @@ def sweep(values: dict, output: str | None) -> int:
     volume = _each(_mode_volume, omega, ratio)
     with np.errstate(all="ignore"):
         t0 = t0_omega / omega
-    capped = r > SQUEEZE_CAP
-    cells = _table(np.where(capped, 0.0, r), theta, omega, volume, apex, t0)
-    bad = np.broadcast_to(capped | cells["refused"], shape)
+    cells = _table(r, theta, omega, volume, apex, t0)
+    bad = np.broadcast_to(cells["refused"], shape)
     status = _STATUS[np.where(bad, 2, r == 0)]
     columns = [*inputs.values(), *map(cells.get, _SWEEP_HEADER[6:-1]), status]
     _write_table(_SWEEP_HEADER, columns, output, blank=(bad, slice(6, -1)))

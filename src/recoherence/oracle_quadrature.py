@@ -68,11 +68,10 @@ _MAX_NODES = 2**22
 #: gaps between the budgets, over omega*T on a log grid, r <= 20, three
 #: theta and four t0: at omega*T <= 10, 1.4 of the scale for the vacuum
 #: term, 1.3 for the envelope and 1.7 for the shift, 1.8 at its window
-#: centre, where b is rounding alone and q*b^2 rounds at second order (31
-#: there for a scale of first order); up to omega*T = 1e4, 5.6 for the
-#: vacuum term and the envelope and 20 for the shift at r <= 2 (half of
-#: _REL_TOL).  0.03 for the band integrals up to a centre of 3000 (their
-#: scale counts the rounding of the integrand's phase)
+#: centre, where b is rounding alone and q*b^2 rounds at second order; up to
+#: omega*T = 1e4, 5.6 for the vacuum term and the envelope and 20 for the
+#: shift at r <= 2 (half of _REL_TOL).  0.03 for the band integrals up to a
+#: centre of 3000 (their scale counts the rounding of the integrand's phase)
 _ROUNDING = 16.0 * np.finfo(float).eps
 
 
@@ -118,12 +117,13 @@ def _refined(evaluate: Callable[[int], tuple[float, float]], what: str) -> float
     eps.  The two must agree within _REL_TOL of the value or within the
     rounding floor _ROUNDING times that scale, whichever is larger, so a
     converged value never fails on rounding alone.  RangeError when the
-    value leaves double precision; a nan gap fails the check.
+    value or its scale leaves double precision; a nan gap fails the check.
     """
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         coarse, _ = evaluate(_NODES_PER_PERIOD)
         fine, size = evaluate(2 * _NODES_PER_PERIOD)
     _finite_result(fine, what)
+    _finite_result(size, f"{what} rounding scale")
     tol = max(_REL_TOL * abs(fine), _ROUNDING * size)
     if not abs(fine - coarse) <= tol:
         raise ConvergenceError(
@@ -213,8 +213,7 @@ def quad_coherence_shift(
     r = 20, omega*T = 30.  From about r = 30 at the centre b is rounding
     alone and e^{2r}*b^2 outweighs the value: the check then accepts
     rounding noise, since its floor counts that term (it refused none of
-    3,000 draws with r <= 350; 46 with a floor of first order, none below
-    r = 45), and the closed form is as ill-conditioned in t0.
+    3,000 draws with r <= 350); the closed form is as ill-conditioned in t0.
 
     The check holds the value to 1e-8 of itself or to its rounding floor,
     which grows like (omega*T)^2 relative to the value as L cancels

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import FINE_STRUCTURE
+from .constants import FINE_STRUCTURE, SQUEEZE_CAP
 from .errors import RangeError, _finite_input, _finite_result
 from .squeezed_state import ModeSpec, SqueezeState
 from .trajectory import Trajectory
@@ -307,10 +307,12 @@ def _table(r, theta, omega, volume, apex, t0) -> dict:
 
     Each factor takes the shape of the inputs it depends on, and the bits of
     the scalar functions above (kernels of r run per value, j2 as one array).
-    ``refused`` marks the cells they refuse with RangeError: a volume not a
-    positive double, or a w_r = shift * g or contrast factor inf or nan (w_r
-    is not finite wherever the envelope M or the phase in g is not)."""
+    ``refused`` marks the cells they refuse with RangeError: an r above
+    ``SQUEEZE_CAP``, a volume not a positive double, or a w_r = shift * g or
+    contrast factor inf or nan (w_r is not finite wherever r, the envelope M
+    or the phase in g is not)."""
     with np.errstate(all="ignore"):
+        r = np.where(r > SQUEEZE_CAP, np.nan, r)  # SqueezeState refuses it
         envelope = _envelope(j2_over_x(omega), apex)
         shift = _per_mode(omega, volume, envelope)
         g = phase_weight(r, _emission_phase(theta, omega, t0))

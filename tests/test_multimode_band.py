@@ -530,6 +530,14 @@ def test_mode_sum_at_the_edges_is_refused_or_finite(
     assert capfd.readouterr().err == ""
 
 
+def test_mode_sum_turn_table_at_an_infinite_cell_phase():
+    # cell*T = (1e100/64)*1e210 is inf, so the turn tables are built from a
+    # phasor of an infinite angle: nan, where math.cos would raise
+    band = BandSpec(center=1e100, half_width=5e99, solid_angle=0.1)
+    got = mode_sum_oracle(SqueezeState(1.0), band, Trajectory(1.0, 1e210), 64)
+    assert got.hex() == "-0x0.0p+0"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     r=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, SQUEEZE_CAP)),

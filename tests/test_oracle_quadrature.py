@@ -347,6 +347,17 @@ def test_non_finite_values_fail_the_check():
         _refined(nan_at_base, "probe")
 
 
+def test_non_finite_rounding_scale_fails_the_check():
+    # at r = 350 and R/T = 1e12 both budgets are finite (-1.51e293 and
+    # -6.23e293, against a closed form of -3.39e293) but their rounding
+    # scale is inf, so an inf tolerance would accept either
+    omega = 3.34
+    state, mode = SqueezeState(350.0, 0.0), _mode(omega)
+    traj, t0 = Trajectory(apex=1e12, half_time=1.0), math.pi / (2.0 * omega)
+    with pytest.raises(RangeError, match="rounding scale"):
+        quad_coherence_shift(state, mode, traj, t0)
+
+
 def test_node_cap_rejected_before_allocation():
     # gl8 at 32 nodes per period: 131072 oscillations fill the cap exactly,
     # so the next float above asks for one panel more

@@ -21,7 +21,7 @@ from recoherence import (
     windowed_coherence_shift,
     windowed_modulation,
 )
-from recoherence.single_mode import _emission_phase
+from recoherence.single_mode import _emission_phase, _table
 
 # Reference values frozen from an independent 50-digit mpmath evaluation
 # of the closed forms (hyperbolics, arctan window average, spherical
@@ -280,3 +280,11 @@ def test_overflow_is_a_range_error():
         coherence_shift(state, mode, Trajectory(apex=320.0, half_time=1.0), t0)
     with pytest.raises(RangeError, match="mode envelope"):
         coherence_shift(state, mode, Trajectory(apex=1e160, half_time=1.0), t0)
+
+
+def test_table_refuses_r_above_the_squeeze_cap():
+    # SqueezeState refuses r above SQUEEZE_CAP = 350, so _table marks those
+    # cells refused, and raises no OverflowError from sinh(2r) at r = 400
+    r, volume = np.array([350.0, 351.0, 400.0]), (2.0 * math.pi / 3.34) ** 3
+    cells = _table(r, 0.0, 3.34, volume, 0.1, np.array([0.3]))
+    assert cells["refused"].tolist() == [False, True, True]

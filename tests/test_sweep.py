@@ -2,6 +2,7 @@
 memory, and the sweep against the per-row scalar path."""
 
 import contextlib
+import hashlib
 import io
 import math
 import tracemalloc
@@ -50,6 +51,14 @@ def test_sweep_bytes_are_frozen(tmp_path):
     path = tmp_path / "sweep.csv"
     assert _run(_GOLDEN_ARGV + ["--output", str(path)])[:2] == (0, "")
     assert path.read_bytes() == golden
+
+
+def test_sweep_across_the_squeeze_cap_bytes_are_frozen():
+    # r = 351 and 400 are range_error rows; 400 overflows sinh(2r)
+    code, out, err = _run(["sweep", "--vary", "r=349,350,351,400",
+                           "--vary", "omega-bar-T=0.5,3.34", "--vary", "t0-omega=0,1"])
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "f3ad31ac3dd3b764eab348e73e27234c"
 
 
 # the closed-form tables; band and oracle are left out, since their
